@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -77,13 +78,33 @@ def _parse_radii(text: str) -> tuple:
     return radii
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError("must be a finite number >= 0, got %r" % text)
+    return value
+
+
+def _angle_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
 def build_parser() -> _ArgumentParser:
     top = _ArgumentParser(
         prog="diskkernels",
         description="Reproducing-kernel positivity, dominance, and operator checks "
         "on the unit disk.",
     )
-    top.add_argument("--tol", type=float, default=1e-9, help="PSD tolerance")
+    top.add_argument("--tol", type=_tolerance, default=1e-9, help="PSD tolerance")
     top.add_argument(
         "--degree", type=int, default=128, help="truncation degree for operators"
     )
@@ -100,7 +121,7 @@ def build_parser() -> _ArgumentParser:
     def accept_globals(p):
         # Same flags as the top parser, so they work on either side of the
         # subcommand; SUPPRESS keeps them from overriding values parsed earlier.
-        p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+        p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
                        help=argparse.SUPPRESS)
         p.add_argument("--degree", type=int, default=argparse.SUPPRESS,
                        help=argparse.SUPPRESS)
@@ -124,7 +145,7 @@ def build_parser() -> _ArgumentParser:
     accept_globals(p)
     p.add_argument("--b", required=True)
     p.add_argument("--radii", required=True)
-    p.add_argument("--angles", type=int, default=64)
+    p.add_argument("--angles", type=_angle_count, default=64)
 
     p = sub.add_parser("onb", help="model-space basis residual against the kernel")
     accept_globals(p)
@@ -159,7 +180,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--grid", default=None)
     p.add_argument("--radii", default=None)
-    p.add_argument("--angles", type=int, default=64)
+    p.add_argument("--angles", type=_angle_count, default=64)
 
     return top
 
@@ -343,6 +364,8 @@ def main(argv=None) -> int:
             code, report = _run_verify(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise UsageError("unknown command %r" % args.command)
+        if report is not None:
+            _emit(report, args.fmt, stdout)
     except SpecParseError as exc:
         stderr.write(exc.diagnostic() + "\n")
         return 1
@@ -352,8 +375,6 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
         stderr.write("error: %s\n" % exc)
         return 1
-    if report is not None:
-        _emit(report, args.fmt, stdout)
     return code
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 
 def fmt_real(x: float) -> str:
@@ -30,7 +31,8 @@ def canonical_json(obj) -> str:
     """Serialize to JSON with sorted keys and 17-significant-digit floats.
 
     Identical inputs produce byte-identical output. Complex values are
-    emitted as canonical complex literals (strings).
+    emitted as canonical complex literals (strings). Non-finite floats have
+    no JSON form and raise ValueError.
     """
     if obj is None:
         return "null"
@@ -39,6 +41,8 @@ def canonical_json(obj) -> str:
     if isinstance(obj, int):
         return fmt_int(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError("cannot serialize the non-finite float %r as JSON" % obj)
         return fmt_real(obj)
     if isinstance(obj, complex):
         return json.dumps(fmt_complex(obj))

@@ -8,9 +8,10 @@ assemble Hermitian Gram matrices over validated point sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -264,11 +265,13 @@ class PointSet:
     """Ordered distinct points strictly inside the disk, with provenance.
 
     ``provenance`` is the canonical grid spec string, or "explicit" for
-    directly supplied points.
+    directly supplied points. ``spec`` is the grid spec the points were
+    sampled from, in ``sample_grid`` order; it takes no part in equality.
     """
 
     points: tuple
     provenance: str = "explicit"
+    spec: Optional[GridSpec] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         points = tuple(complex(z) for z in self.points)
@@ -301,7 +304,7 @@ def sample_grid(spec: GridSpec) -> PointSet:
     if isinstance(spec, RadialGrid):
         angles = np.exp(2j * np.pi * np.arange(spec.angles) / spec.angles)
         pts = [r * a for r in spec.radii for a in angles]
-        return PointSet(tuple(pts), provenance=spec.canonical())
+        return PointSet(tuple(pts), provenance=spec.canonical(), spec=spec)
     if isinstance(spec, RandomGrid):
         rng = np.random.default_rng(spec.seed)
         accepted: list[complex] = []
@@ -313,7 +316,7 @@ def sample_grid(spec: GridSpec) -> PointSet:
             z = complex(radius * np.cos(angle), radius * np.sin(angle))
             if all(abs(z - p) >= MIN_SEPARATION for p in accepted):
                 accepted.append(z)
-        return PointSet(tuple(accepted), provenance=spec.canonical())
+        return PointSet(tuple(accepted), provenance=spec.canonical(), spec=spec)
     raise TypeError("not a grid spec: %r" % (spec,))
 
 
@@ -342,13 +345,21 @@ class GramMatrix:
 def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     """Assemble G[i, j] = K(p_i, p_j) and symmetrize to (G + G*)/2.
 
-    Raises when the raw evaluation deviates from conjugate symmetry by
-    more than 1e-12 relative to the largest entry.
+    Raises when an entry is not finite, or when the raw evaluation deviates
+    from conjugate symmetry by more than 1e-12 relative to the largest entry.
     """
     arr = points.array
-    raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
+    # Overflow and invalid operations surface as non-finite entries, which
+    # are rejected below, so numpy's warnings about them are not raised.
+    with np.errstate(all="ignore"):
+        raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
+        # |x| of a complex entry is finite exactly when both parts are, and
+        # np.max propagates NaN, so one finite peak certifies every entry.
+        peak = float(np.max(np.abs(raw)))
+    if not math.isfinite(peak):
+        raise ValueError("kernel evaluation has non-finite entries")
     asym = float(np.max(np.abs(raw - raw.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(raw))))
+    scale = max(1.0, peak)
     if asym > HERMITIAN_TOL * scale:
         raise ValueError(
             "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym

@@ -8,6 +8,7 @@ diagonal-coefficient oracle that is independent of any grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,6 +60,13 @@ class DominanceReport:
     kernel2: KernelExpr
 
 
+def _checked_tol(tol) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tolerance must be a finite number >= 0, got %r" % tol)
+    return tol
+
+
 def _as_matrix(G) -> np.ndarray:
     if isinstance(G, GramMatrix):
         return G.matrix
@@ -74,26 +82,70 @@ def _as_matrix(G) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """Spectral PSD test with a relative tolerance floor.
+def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
+    """The Gram split by a DFT over the angle index, or None for the dense route.
 
-    Accepts a GramMatrix or a Hermitian ndarray. Non-finite entries are
-    rejected rather than propagated into an eigensolver.
+    On a radial grid of R radii and A angles, in ``sample_grid`` order, a
+    rotation-invariant kernel has an R x R array of A x A circulant blocks.
+    Conjugating by the unitary DFT in the angle index turns it into A
+    Hermitian R x R blocks, returned as an (A, R, R) stack with the same
+    spectrum. The blocks come from the first column of each circulant
+    block. They are used only when the Gram is within
+    ||G - C||_F <= 0.1 tol max(1, max|G|) of the block-circulant C rebuilt
+    from those columns; by Weyl's inequality no eigenvalue then moves by
+    more than that.
     """
-    M = _as_matrix(G)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    evals = np.linalg.eigvalsh(M)
-    min_eig = float(evals[0])
-    spectral = float(max(abs(evals[0]), abs(evals[-1])))
-    tol = float(tol)
-    verdict = min_eig >= -tol * max(1.0, spectral)
+    grid = G.point_set.spec
+    if not isinstance(grid, RadialGrid) or grid.size != G.size:
+        return None
+    try:
+        _diagonal_series(G.kernel, 0)
+    except ValueError:
+        return None
+    R, A = len(grid.radii), grid.angles
+    G4 = G.matrix.reshape(R, A, R, A)
+    first = G4[:, :, :, 0]
+    lag = (np.arange(A)[:, None] - np.arange(A)[None, :]) % A
+    dev2 = 0.0
+    peak = 0.0
+    for a in range(R):
+        # C[p, b, q] = first[a, (p - q) mod A, b], one block-row at a time.
+        diff = G4[a] - first[a][lag].transpose(0, 2, 1)
+        dev2 += float(np.vdot(diff, diff).real)
+        peak = max(peak, float(np.max(np.abs(G4[a]))))
+    if not math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak):
+        return None
+    blocks = np.fft.fft(first, axis=1).transpose(1, 0, 2)
+    return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+
+
+def _verdict(evals: np.ndarray, tol: float) -> PsdVerdict:
+    lo = float(np.min(evals))
+    spectral = float(max(abs(lo), abs(float(np.max(evals)))))
     return PsdVerdict(
-        is_psd=bool(verdict),
-        min_eigenvalue=min_eig,
+        is_psd=bool(lo >= -tol * max(1.0, spectral)),
+        min_eigenvalue=lo,
         tolerance_used=tol,
         spectral_norm=spectral,
     )
+
+
+def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
+    """Spectral PSD test with a relative tolerance floor.
+
+    Accepts a GramMatrix or a Hermitian ndarray, and a finite tol >= 0.
+    Non-finite entries are rejected rather than propagated into an
+    eigensolver. A rotation-invariant kernel's Gram on a radial grid is
+    solved one angular frequency at a time (see ``_angle_blocks``).
+    """
+    tol = _checked_tol(tol)
+    blocks = _angle_blocks(G, tol) if isinstance(G, GramMatrix) else None
+    if blocks is not None:
+        return _verdict(np.linalg.eigvalsh(blocks), tol)
+    M = _as_matrix(G)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    return _verdict(np.linalg.eigvalsh(M), tol)
 
 
 def dominance_delta_min(
@@ -107,33 +159,47 @@ def dominance_delta_min(
     Solves the generalized eigenproblem for the pencil (G1, G2 + jitter I)
     by Cholesky congruence; jitter = 1e-12 trace(G2)/n absorbs the
     near-singularity of boundary-heavy Gram matrices. Requires G2 PSD.
+    When both Grams split by angular frequency (see ``_angle_blocks``),
+    the pencil is solved as one R x R pencil per frequency.
     """
-    G1 = gram(kernel1, points).matrix
-    G2 = gram(kernel2, points).matrix
-    verdict2 = is_psd(G2, tol)
+    tol = _checked_tol(tol)
+    gram1 = gram(kernel1, points)
+    gram2 = gram(kernel2, points)
+    blocks2 = _angle_blocks(gram2, tol)
+    blocks1 = None if blocks2 is None else _angle_blocks(gram1, tol)
+    if blocks1 is None:
+        # Dense route: one n x n pencil, as a stack of one.
+        G1, G2 = gram1.matrix[None], gram2.matrix[None]
+    else:
+        G1, G2 = blocks1, blocks2
+    verdict2 = _verdict(np.linalg.eigvalsh(G2), tol)
     if not verdict2.is_psd:
         raise ValueError(
             "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
             % verdict2.min_eigenvalue
         )
-    n = G2.shape[0]
-    jitter = JITTER_SCALE * float(np.trace(G2).real) / n
+    n = len(points)
+    jitter = JITTER_SCALE * float(np.trace(gram2.matrix).real) / n
     try:
-        L = np.linalg.cholesky(G2 + jitter * np.eye(n))
+        L = np.linalg.cholesky(G2 + jitter * np.eye(G2.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "Gram matrix of the dominating kernel is numerically singular even "
             "after jitter; move the grid away from the boundary"
         ) from exc
-    half = solve_triangular(L, G1, lower=True)
-    pencil = solve_triangular(L, half.conj().T, lower=True)
-    pencil = 0.5 * (pencil + pencil.conj().T)
-    delta = float(np.linalg.eigvalsh(pencil)[-1])
+    if blocks1 is None:
+        half = solve_triangular(L[0], G1[0], lower=True)
+        pencil = solve_triangular(L[0], half.conj().T, lower=True)[None]
+    else:
+        half = np.linalg.solve(L, G1)
+        pencil = np.linalg.solve(L, half.conj().transpose(0, 2, 1))
+    pencil = 0.5 * (pencil + pencil.conj().transpose(0, 2, 1))
+    delta = float(np.max(np.linalg.eigvalsh(pencil)))
     delta = max(delta, 0.0)
     gap = np.linalg.eigvalsh(delta * G2 - G1)
     return DominanceReport(
         delta_min=delta,
-        min_eig_at_delta=float(gap[0]),
+        min_eig_at_delta=float(np.min(gap)),
         regularization_jitter=jitter,
         grid=points.provenance,
         grid_size=len(points),
@@ -265,6 +331,7 @@ def membership_check(
     c = float(c)
     if c <= 0.0:
         raise ValueError("norm bound c must be positive")
+    tol = _checked_tol(tol)
     arr = points.array
     v = _values_on(f, arr)
     G = gram(kernel, points).matrix
@@ -283,6 +350,7 @@ def multiplier_check(
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError("multiplier bound delta must be positive")
+    tol = _checked_tol(tol)
     expr = kx.Difference(
         kx.Scale(delta * delta, kernel), kx.ConjugateScale(phi, kernel)
     )

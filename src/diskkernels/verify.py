@@ -171,6 +171,8 @@ def verify_equality_converse(
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("table radii must lie in (0, 1)")
     m = int(angles)
+    if m < 1:
+        raise ValueError("need at least one angle")
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     table = [float(np.max(ratio_values(b, r * circle))) for r in radii]
     reference = float(np.max(ratio_values(b, 0.5 * circle)))

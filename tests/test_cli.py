@@ -256,3 +256,40 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_psd"] is True
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_is_usage_error(capsys, tol):
+    for argv in (
+        ["psd", "--kernel", "szego", "--grid", "radial[0.5;angles=8]", "--tol", tol],
+        ["--tol", tol, "dominance", "--k1", "szego", "--k2", "szego",
+         "--grid", "radial[0.5;angles=8]"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--tol" in err
+
+
+def test_angles_below_one_is_usage_error(capsys):
+    for argv in (
+        ["ratio", "--b", "blaschke[0.5;c=1]", "--radii", "0.5,0.9", "--angles", "0"],
+        ["verify", "sub2", "--b", "atomic[sigma=1,xi=1]", "--angles", "-2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "--angles" in err
+
+
+def test_overflowing_kernel_is_usage_error_without_warnings(capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "psd", "--kernel", "scale(1e400,szego)", "--grid", "radial[0.5;angles=8]"
+        )
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err

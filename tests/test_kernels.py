@@ -195,3 +195,28 @@ def test_point_set_rejects_duplicates_and_boundary_points():
         PointSet((0.5, 0.5 + 1e-12))
     with pytest.raises(Exception):
         PointSet((0.5, 1.0))
+
+
+class _NanSymbol:
+    def eval(self, z):
+        return np.full(np.shape(z), np.nan, dtype=complex)
+
+
+def test_gram_rejects_non_finite_entries_without_warnings():
+    import warnings
+
+    P = default_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            gram(ConjugateScale(_NanSymbol(), Szego()), P)
+        # scale(1e400,szego): the factor parses to inf.
+        with pytest.raises(ValueError, match="non-finite"):
+            gram(Scale(float("1e400"), Szego()), P)
+
+
+def test_sample_grid_keeps_its_spec():
+    spec = RadialGrid((0.3, 0.6), 5)
+    assert sample_grid(spec).spec == spec
+    spec = RandomGrid(6, 0.8, 2)
+    assert sample_grid(spec).spec == spec

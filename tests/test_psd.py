@@ -248,3 +248,18 @@ def test_point_set_roundtrip_in_report():
     report = dominance_delta_min(Szego(), Szego(), P)
     assert report.grid == "explicit"
     assert report.grid_size == 2
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_bad_tolerance_is_rejected_before_compute(tol):
+    P = default_grid()
+    calls = [
+        lambda: is_psd(gram(Szego(), P), tol),
+        lambda: is_psd(np.eye(2), tol),
+        lambda: dominance_delta_min(Szego(), Szego(), P, tol),
+        lambda: membership_check(lambda z: 1.0, Szego(), 1.0, P, tol),
+        lambda: multiplier_check(B_Z, Szego(), 1.0, P, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tolerance"):
+            call()

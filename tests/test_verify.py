@@ -181,3 +181,14 @@ def test_measured_dominance_never_exceeds_analytic_constant():
         report = verify_inclusion(b, alpha, P)
         assert report.verdict == "pass"
         assert report.measured <= report.analytic_constant * (1 + 1e-6)
+
+
+def test_converse_rejects_angles_below_one():
+    with pytest.raises(ValueError, match="angle"):
+        verify_equality_converse(ATOMIC, angles=0)
+
+
+def test_canonical_json_rejects_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json({"tol": value})
