@@ -8,6 +8,8 @@ verification harness for the inclusion/equality statements tying them
 together.
 """
 
+from types import ModuleType as _ModuleType
+
 from .functions import (
     AtomicSingularInner,
     BlaschkeProduct,
@@ -22,6 +24,7 @@ from .functions import (
     evaluate,
     normalized_zero_kernel,
     ratio_sup_estimate,
+    ratio_table,
     ratio_values,
     taylor_coefficients,
 )
@@ -88,4 +91,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a name from a submodule also binds the submodule itself here.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

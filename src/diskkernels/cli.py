@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .formatting import canonical_json, flatten_report, fmt_real
-from .functions import BlaschkeProduct, ratio_values
+from .functions import BlaschkeProduct, ratio_table
 from .kernels import gram, sample_grid
 from .modelspace import PAIRING_DEGREE, onb_sum_check, takenaka_malmquist
 from .operators import SpaceWeight, toeplitz_analytic, toeplitz_coanalytic, write_matrix_csv
@@ -32,6 +32,7 @@ from .specs import (
     point_set_obj,
 )
 from .verify import (
+    CONVERSE_RADII,
     verify_equality_converse,
     verify_equality_forward,
     verify_inclusion,
@@ -46,26 +47,6 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _dominance_obj(report) -> dict:
-    return {
-        "delta_min": report.delta_min,
-        "min_eig": report.min_eig_at_delta,
-        "jitter": report.regularization_jitter,
-        "grid": {"spec": report.grid, "size": report.grid_size},
-        "kernel1": format_kernel(report.kernel1),
-        "kernel2": format_kernel(report.kernel2),
-    }
-
-
-def _verdict_obj(verdict) -> dict:
-    return {
-        "is_psd": verdict.is_psd,
-        "min_eig": verdict.min_eigenvalue,
-        "tol": verdict.tolerance_used,
-        "spectral_norm": verdict.spectral_norm,
-    }
 
 
 def _parse_radii(text: str) -> tuple:
@@ -132,28 +113,33 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("psd", help="PSD test of a kernel Gram matrix")
     accept_globals(p)
+    p.set_defaults(run=_run_psd)
     p.add_argument("--kernel", required=True)
     p.add_argument("--grid", required=True)
 
     p = sub.add_parser("dominance", help="least delta with K1 <= delta K2 on a grid")
     accept_globals(p)
+    p.set_defaults(run=_run_dominance)
     p.add_argument("--k1", required=True)
     p.add_argument("--k2", required=True)
     p.add_argument("--grid", required=True)
 
     p = sub.add_parser("ratio", help="boundary growth ratio table of a symbol")
     accept_globals(p)
+    p.set_defaults(run=_run_ratio)
     p.add_argument("--b", required=True)
     p.add_argument("--radii", required=True)
     p.add_argument("--angles", type=_angle_count, default=64)
 
     p = sub.add_parser("onb", help="model-space basis residual against the kernel")
     accept_globals(p)
+    p.set_defaults(run=_run_onb)
     p.add_argument("--b", required=True)
     p.add_argument("--grid", required=True)
 
     p = sub.add_parser("toeplitz", help="dump a truncated Toeplitz matrix as CSV")
     accept_globals(p)
+    p.set_defaults(run=_run_toeplitz)
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--kind", choices=("analytic", "coanalytic"), default="analytic")
@@ -161,6 +147,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("membership", help="norm-bound membership test on a grid")
     accept_globals(p)
+    p.set_defaults(run=_run_membership)
     p.add_argument("--f", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--c", type=float, required=True)
@@ -168,6 +155,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("multiplier", help="multiplier-norm bound test on a grid")
     accept_globals(p)
+    p.set_defaults(run=_run_multiplier)
     p.add_argument("--phi", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -175,6 +163,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("verify", help="theorem-level checks")
     accept_globals(p)
+    p.set_defaults(run=_run_verify)
     p.add_argument("statement", choices=("sub", "sub2", "m1"))
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
@@ -201,36 +190,40 @@ def _points_for(args):
     return sample_grid(parse_grid(args.grid, default_seed=args.seed))
 
 
+def _verdict_report(verdict, kernel, points, **fields) -> tuple[int, dict]:
+    report = {
+        "is_psd": verdict.is_psd,
+        "min_eig": verdict.min_eigenvalue,
+        "tol": verdict.tolerance_used,
+        "spectral_norm": verdict.spectral_norm,
+        "kernel": format_kernel(kernel),
+        "grid": point_set_obj(points),
+        **fields,
+    }
+    return (0 if verdict.is_psd else 2), report
+
+
 def _run_psd(args) -> tuple[int, dict]:
     kernel = parse_kernel(args.kernel)
     points = _points_for(args)
-    verdict = is_psd(gram(kernel, points), args.tol)
-    report = _verdict_obj(verdict)
-    report["kernel"] = format_kernel(kernel)
-    report["grid"] = point_set_obj(points)
-    return (0 if verdict.is_psd else 2), report
+    return _verdict_report(is_psd(gram(kernel, points), args.tol), kernel, points)
 
 
 def _run_dominance(args) -> tuple[int, dict]:
     k1 = parse_kernel(args.k1)
     k2 = parse_kernel(args.k2)
     points = _points_for(args)
-    report = dominance_delta_min(k1, k2, points, args.tol)
-    return 0, _dominance_obj(report)
+    return 0, dominance_delta_min(k1, k2, points, args.tol).report_dict()
 
 
 def _run_ratio(args) -> tuple[int, dict]:
     b = parse_function(args.b)
     radii = _parse_radii(args.radii)
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise UsageError("radii must lie in (0, 1)")
-    m = int(args.angles)
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    values = [float(np.max(ratio_values(b, r * circle))) for r in radii]
+    values = ratio_table(b, radii, args.angles)
     report = {
         "b": format_function(b),
         "radii": list(radii),
-        "angles": m,
+        "angles": args.angles,
         "values": values,
         "sup": max(values),
     }
@@ -256,7 +249,7 @@ def _run_onb(args) -> tuple[int, dict]:
     return (0 if residual <= args.tol else 2), report
 
 
-def _run_toeplitz(args, stdout) -> tuple[int, dict | None]:
+def _run_toeplitz(args) -> tuple[int, dict | None]:
     b = parse_function(args.b)
     weight = SpaceWeight.for_degree(args.alpha, args.degree)
     build = toeplitz_analytic if args.kind == "analytic" else toeplitz_coanalytic
@@ -272,7 +265,7 @@ def _run_toeplitz(args, stdout) -> tuple[int, dict | None]:
             "sidecar": args.out + ".json",
         }
         return 0, report
-    writer = csv.writer(stdout, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     for row in op.matrix:
         writer.writerow(["%s,%s" % (fmt_real(v.real), fmt_real(v.imag)) for v in row])
     return 0, None
@@ -283,12 +276,9 @@ def _run_membership(args) -> tuple[int, dict]:
     kernel = parse_kernel(args.kernel)
     points = _points_for(args)
     verdict = membership_check(f, kernel, args.c, points, args.tol)
-    report = _verdict_obj(verdict)
-    report["f"] = format_function(f)
-    report["c"] = float(args.c)
-    report["kernel"] = format_kernel(kernel)
-    report["grid"] = point_set_obj(points)
-    return (0 if verdict.is_psd else 2), report
+    return _verdict_report(
+        verdict, kernel, points, f=format_function(f), c=float(args.c)
+    )
 
 
 def _run_multiplier(args) -> tuple[int, dict]:
@@ -296,12 +286,9 @@ def _run_multiplier(args) -> tuple[int, dict]:
     kernel = parse_kernel(args.kernel)
     points = _points_for(args)
     verdict = multiplier_check(phi, kernel, args.delta, points, args.tol)
-    report = _verdict_obj(verdict)
-    report["phi"] = format_function(phi)
-    report["delta"] = float(args.delta)
-    report["kernel"] = format_kernel(kernel)
-    report["grid"] = point_set_obj(points)
-    return (0 if verdict.is_psd else 2), report
+    return _verdict_report(
+        verdict, kernel, points, phi=format_function(phi), delta=float(args.delta)
+    )
 
 
 def _run_verify(args) -> tuple[int, dict]:
@@ -319,25 +306,17 @@ def _run_verify(args) -> tuple[int, dict]:
             report = verify_equality_forward(b, args.alpha, _points_for(args), args.tol)
             code = 0 if report.verdict == "pass" else 2
         else:
-            report = verify_equality_converse(
-                b, radii if radii else (0.9, 0.99, 0.999), args.angles
-            )
+            report = verify_equality_converse(b, radii or CONVERSE_RADII, args.angles)
             code = 0 if report.verdict == "divergent" else 2
     else:
         if args.grid is None:
             raise UsageError("verify m1 needs --grid")
-        report = verify_m1(
-            b,
-            _points_for(args),
-            radii if radii else (0.9, 0.99, 0.999),
-            args.tol,
-        )
+        report = verify_m1(b, _points_for(args), radii or CONVERSE_RADII, args.tol)
         code = 0 if report.verdict == "pass" else 2
     return code, report.report_dict()
 
 
 def main(argv=None) -> int:
-    stdout = sys.stdout
     stderr = sys.stderr
     parser = build_parser()
     try:
@@ -346,26 +325,9 @@ def main(argv=None) -> int:
         stderr.write("error: %s\n" % exc)
         return 1
     try:
-        if args.command == "psd":
-            code, report = _run_psd(args)
-        elif args.command == "dominance":
-            code, report = _run_dominance(args)
-        elif args.command == "ratio":
-            code, report = _run_ratio(args)
-        elif args.command == "onb":
-            code, report = _run_onb(args)
-        elif args.command == "toeplitz":
-            code, report = _run_toeplitz(args, stdout)
-        elif args.command == "membership":
-            code, report = _run_membership(args)
-        elif args.command == "multiplier":
-            code, report = _run_multiplier(args)
-        elif args.command == "verify":
-            code, report = _run_verify(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError("unknown command %r" % args.command)
+        code, report = args.run(args)
         if report is not None:
-            _emit(report, args.fmt, stdout)
+            _emit(report, args.fmt, sys.stdout)
     except SpecParseError as exc:
         stderr.write(exc.diagnostic() + "\n")
         return 1

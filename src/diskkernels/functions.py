@@ -7,6 +7,7 @@ derived from them (zero-normalized kernel factor, boundary growth ratio).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -32,9 +33,21 @@ class SchurBoundError(ValueError):
 def ensure_in_disk(z: complex) -> complex:
     """Validate |z| < 1 and return z as a complex number."""
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise UnitDiskError("point %r is not strictly inside the unit disk" % z)
     return z
+
+
+def ensure_finite(x: float, name: str) -> float:
+    """Validate that x is a finite real number and return it as a float.
+
+    Range checks such as ``x < bound`` are false for NaN, so parameters
+    pass through this before their range is checked.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite %s: %r" % (name, x))
+    return x
 
 
 def mobius_factor(a: complex, z):
@@ -84,9 +97,9 @@ class BlaschkeProduct:
         object.__setattr__(self, "unimodular_constant", c)
         if len(zeros) == 0:
             raise ValueError("a Blaschke product needs at least one zero")
-        if any(abs(a) >= 1.0 for a in zeros):
+        if not all(abs(a) < 1.0 for a in zeros):
             raise UnitDiskError("Blaschke zeros must lie strictly inside the unit disk")
-        if abs(abs(c) - 1.0) > UNIMODULAR_TOL:
+        if not abs(abs(c) - 1.0) <= UNIMODULAR_TOL:
             raise ValueError(
                 "|unimodular_constant| must equal 1 within %g" % UNIMODULAR_TOL
             )
@@ -115,13 +128,13 @@ class AtomicSingularInner:
     boundary_atom: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        mass = float(self.mass)
+        mass = ensure_finite(self.mass, "mass")
         atom = complex(self.boundary_atom)
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "boundary_atom", atom)
         if not mass > 0.0:
             raise ValueError("mass must be positive")
-        if abs(abs(atom) - 1.0) > UNIMODULAR_TOL:
+        if not abs(abs(atom) - 1.0) <= UNIMODULAR_TOL:
             raise ValueError("|boundary_atom| must equal 1 within %g" % UNIMODULAR_TOL)
 
     def eval(self, z):
@@ -168,6 +181,8 @@ class TaylorPolynomial:
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) == 0:
             raise ValueError("a polynomial needs at least one coefficient")
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise ValueError("non-finite polynomial coefficient")
         if self.unit_ball_check:
             radii = (np.arange(_CERT_GRID_RADII) + 1.0) / (_CERT_GRID_RADII + 1.0)
             angles = np.exp(
@@ -217,7 +232,7 @@ class ConstantFunction:
     def __post_init__(self):
         value = complex(self.value)
         object.__setattr__(self, "value", value)
-        if abs(value) > 1.0:
+        if not abs(value) <= 1.0:
             raise SchurBoundError("|constant| must be at most 1")
 
     def eval(self, z):
@@ -278,7 +293,7 @@ def taylor_coefficients(f, order: int) -> np.ndarray:
 def ratio_values(b, z) -> np.ndarray:
     """(1 - |b(z)|^2)/(1 - |z|^2) on an array of points inside the disk."""
     z = np.asarray(z, dtype=complex)
-    if z.size and np.max(np.abs(z)) >= 1.0:
+    if z.size and not np.max(np.abs(z)) < 1.0:
         raise UnitDiskError("ratio points must lie strictly inside the unit disk")
     num = 1.0 - np.abs(b.eval(z)) ** 2
     den = 1.0 - np.abs(z) ** 2
@@ -291,18 +306,23 @@ def blaschke_ratio(b, z: complex) -> float:
     return float(ratio_values(b, np.asarray([z]))[0])
 
 
-def ratio_sup_estimate(b, radii, angles_per_radius: int = 64) -> float:
-    """Max of the boundary-growth ratio over a radial-angular grid."""
+def ratio_table(b, radii, angles: int) -> list[float]:
+    """Max of the boundary-growth ratio on each circle |z| = r, in input order.
+
+    Each circle carries ``angles`` equally spaced points starting at z = r.
+    """
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0:
         raise ValueError("need at least one radius")
     if any(not 0.0 < r < 1.0 for r in radii):
         raise UnitDiskError("radii must lie in (0, 1)")
-    m = int(angles_per_radius)
+    m = int(angles)
     if m < 1:
-        raise ValueError("need at least one angle per radius")
-    angles = np.exp(2j * np.pi * np.arange(m) / m)
-    best = -math.inf
-    for r in radii:
-        best = max(best, float(np.max(ratio_values(b, r * angles))))
-    return best
+        raise ValueError("need at least one angle")
+    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    return [float(np.max(ratio_values(b, r * circle))) for r in radii]
+
+
+def ratio_sup_estimate(b, radii, angles_per_radius: int = 64) -> float:
+    """Max of the boundary-growth ratio over a radial-angular grid."""
+    return max(ratio_table(b, radii, angles_per_radius))

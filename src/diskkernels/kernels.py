@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .formatting import fmt_int, fmt_real
-from .functions import SchurFunction, UnitDiskError
+from .functions import SchurFunction, UnitDiskError, ensure_finite
 
 MIN_SEPARATION = 1e-10
 HERMITIAN_TOL = 1e-12
@@ -39,7 +39,7 @@ class WeightedBergman:
     alpha: float
 
     def __post_init__(self):
-        alpha = float(self.alpha)
+        alpha = ensure_finite(self.alpha, "alpha")
         object.__setattr__(self, "alpha", alpha)
         if alpha < -1.0:
             raise ValueError("alpha must be at least -1")
@@ -72,7 +72,7 @@ class SubBergman:
     alpha: float
 
     def __post_init__(self):
-        alpha = float(self.alpha)
+        alpha = ensure_finite(self.alpha, "alpha")
         object.__setattr__(self, "alpha", alpha)
         if alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
@@ -115,7 +115,7 @@ class Scale:
     operand: "KernelExpr"
 
     def __post_init__(self):
-        factor = float(self.factor)
+        factor = ensure_finite(self.factor, "scale factor")
         object.__setattr__(self, "factor", factor)
         if factor < 0.0:
             raise ValueError("scale factor must be nonnegative")
@@ -174,7 +174,7 @@ def is_positivity_preserving(kernel: KernelExpr) -> bool:
 def eval_kernel(kernel: KernelExpr, z: complex, w: complex) -> complex:
     """Evaluate a kernel at a pair of points strictly inside the disk."""
     z, w = complex(z), complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(z) < 1.0 and abs(w) < 1.0):
         raise UnitDiskError("kernel arguments must lie strictly inside the unit disk")
     return complex(kernel.eval(z, w))
 
@@ -279,7 +279,7 @@ class PointSet:
         if len(points) == 0:
             raise ValueError("a point set must be nonempty")
         arr = np.asarray(points, dtype=complex)
-        if np.max(np.abs(arr)) >= 1.0:
+        if not np.max(np.abs(arr)) < 1.0:
             raise UnitDiskError("points must lie strictly inside the unit disk")
         if len(points) > 1:
             dist = np.abs(arr[:, None] - arr[None, :])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formatting import fmt_real
-from .functions import SchurFunction, ensure_in_disk, taylor_coefficients
+from .functions import SchurFunction, ensure_finite, ensure_in_disk, taylor_coefficients
 from .kernels import weighted_bergman_coefficients
 
 CLIP_LIMIT = 1e-8
@@ -31,7 +31,7 @@ def monomial_norms(alpha: float, degree: int) -> np.ndarray:
     alpha = -1 is the Hardy space (all ones); alpha > -1 uses
     n! Gamma(alpha + 2)/Gamma(n + alpha + 2), evaluated by recurrence.
     """
-    alpha = float(alpha)
+    alpha = ensure_finite(alpha, "alpha")
     if alpha < -1.0:
         raise ValueError("alpha must be at least -1")
     if degree < 0:

@@ -16,7 +16,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import kernels as kx
-from .functions import BlaschkeProduct, ConstantFunction, NormalizedZeroKernel, TaylorPolynomial
+from .functions import (
+    BlaschkeProduct,
+    ConstantFunction,
+    NormalizedZeroKernel,
+    TaylorPolynomial,
+    ensure_finite,
+)
 from .kernels import (
     GramMatrix,
     KernelExpr,
@@ -26,6 +32,7 @@ from .kernels import (
     sample_grid,
     weighted_bergman_coefficients,
 )
+from .specs import format_kernel
 
 DEFAULT_TOL = 1e-9
 JITTER_SCALE = 1e-12
@@ -59,6 +66,16 @@ class DominanceReport:
     kernel1: KernelExpr
     kernel2: KernelExpr
 
+    def report_dict(self) -> dict:
+        return {
+            "delta_min": self.delta_min,
+            "min_eig": self.min_eig_at_delta,
+            "jitter": self.regularization_jitter,
+            "grid": {"spec": self.grid, "size": self.grid_size},
+            "kernel1": format_kernel(self.kernel1),
+            "kernel2": format_kernel(self.kernel2),
+        }
+
 
 def _checked_tol(tol) -> float:
     tol = float(tol)
@@ -68,13 +85,15 @@ def _checked_tol(tol) -> float:
 
 
 def _as_matrix(G) -> np.ndarray:
-    if isinstance(G, GramMatrix):
-        return G.matrix
-    M = np.asarray(G, dtype=complex)
+    """The matrix of G, finite; an ndarray must also be square and Hermitian."""
+    is_gram = isinstance(G, GramMatrix)
+    M = G.matrix if is_gram else np.asarray(G, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
+    if is_gram:
+        return M
     asym = float(np.max(np.abs(M - M.conj().T)))
     scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
     if asym > 1e-9 * scale:
@@ -142,10 +161,7 @@ def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
     blocks = _angle_blocks(G, tol) if isinstance(G, GramMatrix) else None
     if blocks is not None:
         return _verdict(np.linalg.eigvalsh(blocks), tol)
-    M = _as_matrix(G)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
-    return _verdict(np.linalg.eigvalsh(M), tol)
+    return _verdict(np.linalg.eigvalsh(_as_matrix(G)), tol)
 
 
 def dominance_delta_min(
@@ -187,6 +203,9 @@ def dominance_delta_min(
             "Gram matrix of the dominating kernel is numerically singular even "
             "after jitter; move the grid away from the boundary"
         ) from exc
+    # Each route keeps the solver that is faster on its shape (README,
+    # "Rotation-symmetric route"): scipy's triangular solve on one dense
+    # pencil, one batched np.linalg.solve on the (A, R, R) stack.
     if blocks1 is None:
         half = solve_triangular(L[0], G1[0], lower=True)
         pencil = solve_triangular(L[0], half.conj().T, lower=True)[None]
@@ -328,7 +347,7 @@ def membership_check(
     any evaluable symbol or plain callable. PSD means "not refuted here";
     a refutation certifies f is not in the space with norm at most c.
     """
-    c = float(c)
+    c = ensure_finite(c, "norm bound c")
     if c <= 0.0:
         raise ValueError("norm bound c must be positive")
     tol = _checked_tol(tol)
@@ -347,7 +366,7 @@ def multiplier_check(
     Checks (delta^2 - phi(z) conj(phi(w))) K(z, w) >= 0, assembled through
     the kernel algebra.
     """
-    delta = float(delta)
+    delta = ensure_finite(delta, "multiplier bound delta")
     if delta <= 0.0:
         raise ValueError("multiplier bound delta must be positive")
     tol = _checked_tol(tol)

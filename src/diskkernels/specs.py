@@ -24,6 +24,7 @@ from .formatting import fmt_complex, fmt_real
 
 _NUM = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[a-z][a-z0-9_]*")
+_BINARY = {"sum": kx.Sum, "schur": kx.SchurProduct, "diff": kx.Difference}
 
 
 class SpecParseError(ValueError):
@@ -172,14 +173,13 @@ class _Parser:
             alpha = self.parse_real()
             self.expect("]")
             return self._construct(start, kx.SubBergman, b, alpha)
-        if name in ("sum", "schur", "diff"):
+        if name in _BINARY:
             self.expect("(")
             left = self.parse_kernel()
             self.expect(",")
             right = self.parse_kernel()
             self.expect(")")
-            node = {"sum": kx.Sum, "schur": kx.SchurProduct, "diff": kx.Difference}
-            return node[name](left, right)
+            return _BINARY[name](left, right)
         if name == "scale":
             self.expect("(")
             pos_factor = self.pos
@@ -284,15 +284,10 @@ def format_kernel(kernel) -> str:
             format_function(kernel.b),
             fmt_real(kernel.alpha),
         )
-    if isinstance(kernel, kx.Sum):
-        return "sum(%s,%s)" % (format_kernel(kernel.left), format_kernel(kernel.right))
-    if isinstance(kernel, kx.SchurProduct):
-        return "schur(%s,%s)" % (
-            format_kernel(kernel.left),
-            format_kernel(kernel.right),
-        )
-    if isinstance(kernel, kx.Difference):
-        return "diff(%s,%s)" % (format_kernel(kernel.left), format_kernel(kernel.right))
+    for name, node in _BINARY.items():
+        if isinstance(kernel, node):
+            left, right = format_kernel(kernel.left), format_kernel(kernel.right)
+            return "%s(%s,%s)" % (name, left, right)
     if isinstance(kernel, kx.Scale):
         return "scale(%s,%s)" % (fmt_real(kernel.factor), format_kernel(kernel.operand))
     if isinstance(kernel, kx.ConjugateScale):

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BlaschkeProduct, ConstantFunction, ratio_values
+from .functions import BlaschkeProduct, ConstantFunction, ratio_table
 from .kernels import PointSet, RadialGrid, SubBergman, WeightedBergman, sample_grid
 from .modelspace import pointwise_bound_constant
-from .psd import DEFAULT_TOL, DominanceReport, dominance_delta_min
-from .specs import format_function, format_kernel, point_set_obj
+from .psd import DEFAULT_TOL, dominance_delta_min
+from .specs import format_function, point_set_obj
 
 REPORT_TOL = 1e-6
 CONVERSE_RADII = (0.9, 0.99, 0.999)
@@ -59,17 +59,6 @@ class TheoremReport:
         }
 
 
-def _dominance_obj(report: DominanceReport) -> dict:
-    return {
-        "delta_min": report.delta_min,
-        "min_eig": report.min_eig_at_delta,
-        "jitter": report.regularization_jitter,
-        "grid": {"spec": report.grid, "size": report.grid_size},
-        "kernel1": format_kernel(report.kernel1),
-        "kernel2": format_kernel(report.kernel2),
-    }
-
-
 def _require_nonconstant(b) -> complex:
     if isinstance(b, ConstantFunction):
         raise ValueError("the symbol must be non-constant")
@@ -103,7 +92,7 @@ def verify_inclusion(
         analytic_constant=analytic,
         measured=report.delta_min,
         verdict=verdict,
-        details=(_dominance_obj(report),),
+        details=(report.report_dict(),),
     )
 
 
@@ -147,7 +136,7 @@ def verify_equality_forward(
                 "pointwise_bound": c_grid,
                 "bound_grid": point_set_obj(boundary),
             },
-            _dominance_obj(report),
+            report.report_dict(),
         ),
     )
 
@@ -166,16 +155,9 @@ def verify_equality_converse(
     """
     _require_nonconstant(b)
     radii = tuple(sorted(float(r) for r in radii))
-    if len(radii) == 0:
-        raise ValueError("need at least one radius")
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError("table radii must lie in (0, 1)")
     m = int(angles)
-    if m < 1:
-        raise ValueError("need at least one angle")
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    table = [float(np.max(ratio_values(b, r * circle))) for r in radii]
-    reference = float(np.max(ratio_values(b, 0.5 * circle)))
+    table = ratio_table(b, radii, m)
+    reference = ratio_table(b, (0.5,), m)[0]
     if len(table) >= 3 and (
         table[-1] >= GROWTH_FACTOR * table[-2]
         and table[-2] >= GROWTH_FACTOR * table[-3]
