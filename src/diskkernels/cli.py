@@ -16,11 +16,17 @@ import sys
 
 import numpy as np
 
-from .formatting import canonical_json, flatten_report, fmt_real
+from .formatting import canonical_json, flatten_report
 from .functions import BlaschkeProduct, ratio_table
 from .kernels import gram, sample_grid
 from .modelspace import PAIRING_DEGREE, onb_sum_check, takenaka_malmquist
-from .operators import SpaceWeight, toeplitz_analytic, toeplitz_coanalytic, write_matrix_csv
+from .operators import (
+    SpaceWeight,
+    toeplitz_analytic,
+    toeplitz_coanalytic,
+    write_matrix_cells,
+    write_matrix_csv,
+)
 from .psd import dominance_delta_min, is_psd, membership_check, multiplier_check
 from .specs import (
     SpecParseError,
@@ -265,9 +271,7 @@ def _run_toeplitz(args) -> tuple[int, dict | None]:
             "sidecar": args.out + ".json",
         }
         return 0, report
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in op.matrix:
-        writer.writerow(["%s,%s" % (fmt_real(v.real), fmt_real(v.imag)) for v in row])
+    write_matrix_cells(op, sys.stdout, lineterminator="\n")
     return 0, None
 
 

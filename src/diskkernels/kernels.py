@@ -19,6 +19,7 @@ from .formatting import fmt_int, fmt_real
 from .functions import SchurFunction, UnitDiskError, ensure_finite
 
 MIN_SEPARATION = 1e-10
+SEPARATION_BLOCK = 256
 HERMITIAN_TOL = 1e-12
 
 
@@ -281,8 +282,11 @@ class PointSet:
         arr = np.asarray(points, dtype=complex)
         if not np.max(np.abs(arr)) < 1.0:
             raise UnitDiskError("points must lie strictly inside the unit disk")
-        if len(points) > 1:
-            dist = np.abs(arr[:, None] - arr[None, :])
+        # Each row block is compared with itself and the points after it,
+        # so the distance matrix never exceeds SEPARATION_BLOCK x n.
+        for start in range(0, len(arr), SEPARATION_BLOCK):
+            rows = arr[start : start + SEPARATION_BLOCK]
+            dist = np.abs(rows[:, None] - arr[None, start:])
             np.fill_diagonal(dist, np.inf)
             if np.min(dist) < MIN_SEPARATION:
                 raise ValueError(
@@ -307,15 +311,17 @@ def sample_grid(spec: GridSpec) -> PointSet:
         return PointSet(tuple(pts), provenance=spec.canonical(), spec=spec)
     if isinstance(spec, RandomGrid):
         rng = np.random.default_rng(spec.seed)
-        accepted: list[complex] = []
+        accepted = np.empty(spec.count, dtype=complex)
+        k = 0
         # Rejection keeps the draw deterministic while honoring the
         # minimum-separation invariant.
-        while len(accepted) < spec.count:
+        while k < spec.count:
             radius = spec.rmax * np.sqrt(rng.random())
             angle = 2.0 * np.pi * rng.random()
             z = complex(radius * np.cos(angle), radius * np.sin(angle))
-            if all(abs(z - p) >= MIN_SEPARATION for p in accepted):
-                accepted.append(z)
+            if k == 0 or np.min(np.abs(accepted[:k] - z)) >= MIN_SEPARATION:
+                accepted[k] = z
+                k += 1
         return PointSet(tuple(accepted), provenance=spec.canonical(), spec=spec)
     raise TypeError("not a grid spec: %r" % (spec,))
 

@@ -240,6 +240,13 @@ def eigenvector_check(
     return float(np.linalg.norm(residual) / np.linalg.norm(kappa))
 
 
+def write_matrix_cells(op: TruncatedToeplitz, fh, lineterminator: str = "\r\n") -> None:
+    """Write the matrix as CSV rows of quoted "re,im" cells to an open text stream."""
+    writer = csv.writer(fh, lineterminator=lineterminator)
+    for row in op.matrix:
+        writer.writerow(["%s,%s" % (fmt_real(v.real), fmt_real(v.imag)) for v in row])
+
+
 def write_matrix_csv(op: TruncatedToeplitz, path: str) -> None:
     """Dump the matrix as CSV of "re,im" cells plus a JSON sidecar.
 
@@ -247,11 +254,7 @@ def write_matrix_csv(op: TruncatedToeplitz, path: str) -> None:
     weight parameter, and the basis convention.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in op.matrix:
-            writer.writerow(
-                ["%s,%s" % (fmt_real(v.real), fmt_real(v.imag)) for v in row]
-            )
+        write_matrix_cells(op, fh)
     sidecar = {
         "rows": op.matrix.shape[0],
         "cols": op.matrix.shape[1],

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels as kx
 from .functions import (
@@ -207,6 +206,10 @@ def dominance_delta_min(
     # "Rotation-symmetric route"): scipy's triangular solve on one dense
     # pencil, one batched np.linalg.solve on the (A, R, R) stack.
     if blocks1 is None:
+        # Imported here: loading scipy.linalg costs more than most CLI
+        # calls, and only this branch needs it.
+        from scipy.linalg import solve_triangular
+
         half = solve_triangular(L[0], G1[0], lower=True)
         pencil = solve_triangular(L[0], half.conj().T, lower=True)[None]
     else:
