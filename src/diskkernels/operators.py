@@ -8,14 +8,13 @@ made from these matrices should be re-checked at doubled N.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .formatting import fmt_real
 from .functions import SchurFunction, ensure_finite, ensure_in_disk, taylor_coefficients
 from .kernels import weighted_bergman_coefficients
 
@@ -133,16 +132,27 @@ class DefectOperator:
     degree: int
     weight: SpaceWeight
     matrix: np.ndarray
-    sqrt_matrix: np.ndarray
     clip_magnitude: float
     sqrt_eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-        self.sqrt_matrix.setflags(write=False)
         self.sqrt_eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
+
+    @cached_property
+    def sqrt_matrix(self) -> np.ndarray:
+        """S = V diag(sqrt(lambda)) V*, built on first access.
+
+        ``range_norm`` needs only the spectral data, so S costs its N^3
+        product only when read.
+        """
+        vecs = self.eigenvectors
+        S = (vecs * self.sqrt_eigenvalues) @ vecs.conj().T
+        S = 0.5 * (S + S.conj().T)
+        S.setflags(write=False)
+        return S
 
     def range_norm(self, f_taylor) -> float:
         """Norm of f in the range space M(S): ||S^+ f||.
@@ -185,13 +195,10 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         )
     clipped = np.clip(evals, 0.0, None)
     sqrt_evals = np.sqrt(clipped)
-    S = (vecs * sqrt_evals) @ vecs.conj().T
-    S = 0.5 * (S + S.conj().T)
     return DefectOperator(
         degree=int(degree),
         weight=weight,
         matrix=D,
-        sqrt_matrix=S,
         clip_magnitude=clip,
         sqrt_eigenvalues=sqrt_evals,
         eigenvectors=vecs,
@@ -241,10 +248,17 @@ def eigenvector_check(
 
 
 def write_matrix_cells(op: TruncatedToeplitz, fh, lineterminator: str = "\r\n") -> None:
-    """Write the matrix as CSV rows of quoted "re,im" cells to an open text stream."""
-    writer = csv.writer(fh, lineterminator=lineterminator)
-    for row in op.matrix:
-        writer.writerow(["%s,%s" % (fmt_real(v.real), fmt_real(v.imag)) for v in row])
+    """Write the matrix as CSV rows of quoted "re,im" cells to an open text stream.
+
+    Each part is printed with 17 significant digits, as ``fmt_real`` does.
+    Such text never holds a quote or a line break, so quoting every cell is
+    all the CSV escaping it needs, and one format string prints a row.
+    """
+    matrix = np.ascontiguousarray(op.matrix)
+    row_format = ",".join(['"%.17g,%.17g"'] * matrix.shape[1]) + lineterminator
+    for row in matrix:
+        # A contiguous complex row viewed as float64 alternates re and im.
+        fh.write(row_format % tuple(row.view(np.float64).tolist()))
 
 
 def write_matrix_csv(op: TruncatedToeplitz, path: str) -> None:
