@@ -276,7 +276,7 @@ def _run_toeplitz(args) -> tuple[int, dict | None]:
 
 
 def _run_membership(args) -> tuple[int, dict]:
-    f = parse_function(args.f)
+    f = parse_function(args.f, schur=False)
     kernel = parse_kernel(args.kernel)
     points = _points_for(args)
     verdict = membership_check(f, kernel, args.c, points, args.tol)
@@ -286,7 +286,7 @@ def _run_membership(args) -> tuple[int, dict]:
 
 
 def _run_multiplier(args) -> tuple[int, dict]:
-    phi = parse_function(args.phi)
+    phi = parse_function(args.phi, schur=False)
     kernel = parse_kernel(args.kernel)
     points = _points_for(args)
     verdict = multiplier_check(phi, kernel, args.delta, points, args.tol)
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         stderr.write("error: %s\n" % exc)
         return 1
-    except (ValueError, TypeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, OSError, np.linalg.LinAlgError) as exc:
         stderr.write("error: %s\n" % exc)
         return 1
     return code

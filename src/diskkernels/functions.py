@@ -17,6 +17,9 @@ import numpy as np
 UNIMODULAR_TOL = 1e-12
 UNIT_BALL_TOL = 1e-10
 ATOM_GUARD = 1e-12
+# Rounding-level tolerance of ``reflection_axis``: a zero counts as lying on
+# the axis, and an atom as unimodular, only up to a few units in the last place.
+AXIS_TOL = 4.0 * np.finfo(float).eps
 
 _CERT_GRID_RADII = 64
 _CERT_GRID_ANGLES = 64
@@ -119,6 +122,23 @@ class BlaschkeProduct:
         series = [mobius_factor_series(a, order) for a in self.zeros]
         return self.unimodular_constant * _truncated_product(series, order)
 
+    def reflection_axis(self):
+        """(omega, g) with b(z) = c g(conj(omega) z), |c| = 1, g real; else None.
+
+        Exists when the nonzero zeros all lie on one line omega*R: each
+        factor is then omega times the factor of the real zero +-|a| at
+        conj(omega) z, and z = omega (conj(omega) z) for a zero at 0.
+        """
+        nonzero = [a for a in self.zeros if a != 0]
+        omega = nonzero[0] / abs(nonzero[0]) if nonzero else 1.0 + 0.0j
+        real_zeros = []
+        for a in self.zeros:
+            t = omega.conjugate() * a
+            if abs(t.imag) > AXIS_TOL * abs(a):
+                return None
+            real_zeros.append(math.copysign(abs(a), t.real))
+        return omega, BlaschkeProduct(tuple(real_zeros))
+
 
 @dataclass(frozen=True)
 class AtomicSingularInner:
@@ -161,6 +181,16 @@ class AtomicSingularInner:
             k = np.arange(1, n + 1)
             h[n] = np.sum(k * g[k] * h[n - k]) / n
         return h
+
+    def reflection_axis(self):
+        """(atom, the same atom moved to 1): b(z) = g(conj(atom) z).
+
+        The identity needs |atom| = 1, which the constructor checks only to
+        1e-12; an atom further than rounding from the circle gives None.
+        """
+        if abs(abs(self.boundary_atom) - 1.0) > AXIS_TOL:
+            return None
+        return self.boundary_atom, AtomicSingularInner(self.mass)
 
 
 @dataclass(frozen=True)
@@ -222,18 +252,31 @@ class TaylorPolynomial:
         out[:take] = self.coefficients[:take]
         return out
 
+    def reflection_axis(self):
+        """(1, itself) when every coefficient is real, else None."""
+        if any(c.imag != 0.0 for c in self.coefficients):
+            return None
+        return 1.0 + 0.0j, self
+
 
 @dataclass(frozen=True)
 class ConstantFunction:
-    """Constant symbol with modulus at most 1."""
+    """Constant symbol, by default checked to have modulus at most 1.
+
+    ``unit_ball_check=False`` admits any finite value, as for polynomials.
+    """
 
     value: complex
+    unit_ball_check: bool = True
 
     def __post_init__(self):
         value = complex(self.value)
         object.__setattr__(self, "value", value)
-        if not abs(value) <= 1.0:
-            raise SchurBoundError("|constant| must be at most 1")
+        if self.unit_ball_check:
+            if not abs(value) <= 1.0:
+                raise SchurBoundError("|constant| must be at most 1")
+        elif not cmath.isfinite(value):
+            raise ValueError("non-finite constant")
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
@@ -243,6 +286,10 @@ class ConstantFunction:
         out = np.zeros(order + 1, dtype=complex)
         out[0] = self.value
         return out
+
+    def reflection_axis(self):
+        """(1, the constant |value|): b = c |value| with c unimodular."""
+        return 1.0 + 0.0j, ConstantFunction(abs(self.value), self.unit_ball_check)
 
 
 SchurFunction = Union[

@@ -21,6 +21,9 @@ from .functions import SchurFunction, UnitDiskError, ensure_finite
 MIN_SEPARATION = 1e-10
 SEPARATION_BLOCK = 256
 HERMITIAN_TOL = 1e-12
+# Largest dense complex n x n matrix a grid or truncation degree may ask for
+# (n = 4096, 256 MiB); a Gram assembly holds a few such matrices at once.
+MAX_DENSE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,20 @@ def eval_kernel(kernel: KernelExpr, z: complex, w: complex) -> complex:
     return complex(kernel.eval(z, w))
 
 
+def check_dense_size(n: int, what: str) -> None:
+    """Refuse a size whose dense n x n complex matrix exceeds MAX_DENSE_BYTES.
+
+    Runs before anything of that size is allocated, so an oversized grid or
+    degree fails with a message instead of a MemoryError or a swap storm.
+    """
+    need = 16 * n * n
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(
+            "%s needs a %d x %d complex matrix (%.3g GB), above the limit of "
+            "%.3g GB" % (what, n, n, need / 1e9, MAX_DENSE_BYTES / 1e9)
+        )
+
+
 def weighted_bergman_coefficients(alpha: float, order: int) -> np.ndarray:
     """Diagonal power-series coefficients of (1 - x)^(-(alpha + 2)).
 
@@ -214,6 +231,7 @@ class RadialGrid:
             raise ValueError("grid radii must be distinct")
         if angles < 1:
             raise ValueError("need at least one angle")
+        check_dense_size(self.size, "a grid of %d points" % self.size)
 
     @property
     def size(self) -> int:
@@ -245,6 +263,7 @@ class RandomGrid:
             raise UnitDiskError("rmax must lie in (0, 1)")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
+        check_dense_size(count, "a grid of %d points" % count)
 
     @property
     def size(self) -> int:
@@ -354,6 +373,7 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     Raises when an entry is not finite, or when the raw evaluation deviates
     from conjugate symmetry by more than 1e-12 relative to the largest entry.
     """
+    check_dense_size(len(points), "a Gram matrix of %d points" % len(points))
     arr = points.array
     # Overflow and invalid operations surface as non-finite entries, which
     # are rejected below, so numpy's warnings about them are not raised.

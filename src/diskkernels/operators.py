@@ -8,6 +8,7 @@ made from these matrices should be re-checked at doubled N.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import SchurFunction, ensure_finite, ensure_in_disk, taylor_coefficients
-from .kernels import weighted_bergman_coefficients
+from .kernels import check_dense_size, weighted_bergman_coefficients
 
 CLIP_LIMIT = 1e-8
 RANGE_CUTOFF = 1e-10
@@ -35,6 +36,7 @@ def monomial_norms(alpha: float, degree: int) -> np.ndarray:
         raise ValueError("alpha must be at least -1")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    check_dense_size(degree + 1, "degree %d" % degree)
     if alpha == -1.0:
         return np.ones(degree + 1)
     return 1.0 / weighted_bergman_coefficients(alpha, degree)
@@ -92,17 +94,22 @@ def toeplitz_analytic(
     with the symbol's Taylor expansion truncated at N.
     """
     _check_degree(weight, degree)
-    coeffs = taylor_coefficients(b, degree)
+    M = _toeplitz_fill(taylor_coefficients(b, degree), weight, degree)
+    return TruncatedToeplitz(
+        degree=int(degree), weight=weight, matrix=M, symbol=b, analytic=True
+    )
+
+
+def _toeplitz_fill(coeffs: np.ndarray, weight: SpaceWeight, degree: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix of the coefficients, in coeffs' dtype."""
     norms = np.sqrt(weight.norms_sq[: degree + 1])
-    M = np.zeros((degree + 1, degree + 1), dtype=complex)
+    M = np.zeros((degree + 1, degree + 1), dtype=coeffs.dtype)
     for d in range(degree + 1):
         if coeffs[d] == 0:
             continue
         idx = np.arange(degree + 1 - d)
         M[idx + d, idx] = coeffs[d] * norms[idx + d] / norms[idx]
-    return TruncatedToeplitz(
-        degree=int(degree), weight=weight, matrix=M, symbol=b, analytic=True
-    )
+    return M
 
 
 def toeplitz_coanalytic(
@@ -181,11 +188,48 @@ class DefectOperator:
 
 
 def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator:
-    """Defect operator I - T_b T_b* and its PSD square root."""
+    """Defect operator I - T_b T_b* and its PSD square root.
+
+    Real route: when ``b.reflection_axis()`` gives (omega, g), then
+    b(z) = c g(conj(omega) z) with |c| = 1 and g real, so for every weight
+    (the norm ratios are real) T_b = c U T_g U* with U = diag(conj(omega)^n)
+    and D = U (I - T_g T_g^T) U*. One real ``eigh`` then stands in for the
+    complex one. Dropping the imaginary part E of T_g is allowed because,
+    with ||T_g||_2 <= 1, it moves T_g T_g* by at most 2||E||_F + ||E||_F^2,
+    and by Weyl's inequality no eigenvalue moves further. The route is taken
+    only when that bound is at most (N + 1) eps, the rounding level of the
+    complex ``eigh`` it replaces; otherwise, and for symbols without an
+    axis, D is formed from T_b in complex arithmetic.
+    """
+    _check_degree(weight, degree)
+    axis = b.reflection_axis()
+    if axis is not None:
+        omega, g = axis
+        coeffs = taylor_coefficients(g, degree)
+        drift = float(np.linalg.norm(_toeplitz_fill(coeffs.imag, weight, degree)))
+        if 2.0 * drift + drift * drift <= (degree + 1) * np.finfo(float).eps:
+            T = _toeplitz_fill(coeffs.real, weight, degree)
+            D = np.eye(degree + 1) - T @ T.T
+            D = 0.5 * (D + D.T)
+            evals, vecs = np.linalg.eigh(D)
+            phases = _axis_phases(omega, degree)
+            D = D * np.outer(phases, phases.conj())
+            D = 0.5 * (D + D.conj().T)
+            return _spectral_defect(weight, degree, D, evals, phases[:, None] * vecs)
     T = toeplitz_analytic(b, weight, degree).matrix
     D = np.eye(degree + 1, dtype=complex) - T @ T.conj().T
     D = 0.5 * (D + D.conj().T)
     evals, vecs = np.linalg.eigh(D)
+    return _spectral_defect(weight, degree, D, evals, vecs)
+
+
+def _axis_phases(omega: complex, degree: int) -> np.ndarray:
+    """Diagonal of U = diag(conj(omega)^n), unimodular to rounding."""
+    return np.exp(-1j * cmath.phase(omega) * np.arange(degree + 1))
+
+
+def _spectral_defect(weight, degree, D, evals, vecs) -> DefectOperator:
+    """Clip check and square-root spectrum of a defect matrix D = V diag(evals) V*."""
     clip = float(max(0.0, -np.min(evals)))
     if clip > CLIP_LIMIT:
         raise ValueError(
@@ -213,8 +257,22 @@ def range_norm(f_taylor, b: SchurFunction, weight: SpaceWeight, degree: int) -> 
 def kernel_section_taylor(
     b: SchurFunction, alpha: float, w: complex, degree: int
 ) -> np.ndarray:
-    """Taylor coefficients in z of the sub-Bergman kernel section at w."""
+    """Taylor coefficients in z of the sub-Bergman kernel section at w.
+
+    When b(z) = c g(conj(omega) z) (``b.reflection_axis()``), the section is
+    U times the section of g at conj(omega) w, as in ``defect``, so both are
+    built from the real coefficients of g and the same phases U.
+    """
     w = ensure_in_disk(w)
+    axis = b.reflection_axis()
+    if axis is not None:
+        omega, g = axis
+        section = _kernel_section(g, alpha, omega.conjugate() * w, degree)
+        return _axis_phases(omega, degree) * section
+    return _kernel_section(b, alpha, w, degree)
+
+
+def _kernel_section(b, alpha: float, w: complex, degree: int) -> np.ndarray:
     bw = complex(b.eval(w))
     numer = -np.conj(bw) * taylor_coefficients(b, degree)
     numer[0] += 1.0

@@ -108,7 +108,7 @@ class _Parser:
         except ValueError as exc:
             self.fail(str(exc), start)
 
-    def parse_function(self):
+    def parse_function(self, schur: bool = True):
         start = self.pos
         name = self.parse_name()
         if name == "blaschke":
@@ -139,12 +139,12 @@ class _Parser:
             while self.match(","):
                 coeffs.append(self.parse_complex())
             self.expect("]")
-            return self._construct(start, fn.TaylorPolynomial, tuple(coeffs))
+            return self._construct(start, fn.TaylorPolynomial, tuple(coeffs), schur)
         if name == "const":
             self.expect("[")
             value = self.parse_complex()
             self.expect("]")
-            return self._construct(start, fn.ConstantFunction, value)
+            return self._construct(start, fn.ConstantFunction, value, schur)
         self.fail("unknown function %r" % name, start)
 
     def parse_kernel(self):
@@ -235,9 +235,14 @@ class _Parser:
         self.fail("unknown grid %r" % name, start)
 
 
-def parse_function(text: str):
+def parse_function(text: str, schur: bool = True):
+    """Parse a function spec; ``schur=False`` drops the unit-ball checks.
+
+    Blaschke products and atomic inner functions are Schur functions either
+    way; ``poly`` and ``const`` then admit any finite coefficients.
+    """
     parser = _Parser(text)
-    out = parser.parse_function()
+    out = parser.parse_function(schur)
     parser.expect_end()
     return out
 

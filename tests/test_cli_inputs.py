@@ -1,0 +1,167 @@
+"""CLI input handling: unwritable output paths, non-Schur test functions and
+the dense-size limit on grids and truncation degrees."""
+
+import json
+import tracemalloc
+
+import pytest
+
+from diskkernels import kernels
+from diskkernels.cli import main
+from diskkernels.kernels import (
+    MAX_DENSE_BYTES,
+    PointSet,
+    RadialGrid,
+    RandomGrid,
+    Szego,
+    gram,
+)
+from diskkernels.operators import SpaceWeight, monomial_norms
+from diskkernels.specs import SpecParseError, parse_function, parse_grid
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_toeplitz_out_in_missing_directory_is_an_error_line(capsys, tmp_path):
+    target = tmp_path / "missing_dir" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "toeplitz", "--b", "blaschke[0.5]", "--degree", "8", "--out", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "No such file or directory" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_membership_f_need_not_be_a_schur_function(capsys):
+    grid = "radial[0.5;angles=8]"
+    code, out, err = run_cli(
+        capsys, "membership", "--f", "poly[1,0.5]", "--kernel", "szego", "--c", "2",
+        "--grid", grid,
+    )
+    # ||1 + z/2||_{H^2} = sqrt(1.25) < 2.
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["is_psd"] is True
+    assert report["f"] == "poly[1,0.5]"
+    code, out, _ = run_cli(
+        capsys, "membership", "--f", "const[2]", "--kernel", "szego", "--c", "3",
+        "--grid", grid,
+    )
+    assert code == 0
+    assert json.loads(out)["f"] == "const[2]"
+    # ||2||_{H^2} = 2 > 1.5 is refuted on the same grid.
+    code, out, _ = run_cli(
+        capsys, "membership", "--f", "const[2]", "--kernel", "szego", "--c", "1.5",
+        "--grid", grid,
+    )
+    assert code == 2
+    assert json.loads(out)["is_psd"] is False
+
+
+def test_multiplier_phi_above_sup_norm_one(capsys):
+    # The multiplier norm of 1.5 z on H^2 is 1.5.
+    args = ("multiplier", "--phi", "poly[0,1.5]", "--kernel", "szego",
+            "--grid", "radial[0.5,0.9;angles=16]")
+    code, out, err = run_cli(capsys, *args, "--delta", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["phi"] == "poly[0,1.5]"
+    code, out, _ = run_cli(capsys, *args, "--delta", "1.2")
+    assert code == 2
+    assert json.loads(out)["is_psd"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("toeplitz", "--b", "poly[2,1]", "--degree", "8"),
+        ("ratio", "--b", "const[2]", "--radii", "0.5"),
+        ("membership", "--f", "poly[2]", "--kernel", "dbr[b=poly[2]]", "--c", "2",
+         "--grid", "radial[0.5;angles=8]"),
+        ("multiplier", "--phi", "poly[0,1.5]", "--kernel", "cscale(poly[2],szego)",
+         "--delta", "3", "--grid", "radial[0.5;angles=8]"),
+    ],
+)
+def test_b_and_kernel_symbols_keep_the_unit_ball_check(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unit ball" in err or "at most 1" in err
+
+
+def test_parse_function_schur_flag():
+    assert parse_function("poly[1,0.5]", schur=False).unit_ball_check is False
+    assert parse_function("const[2]", schur=False).value == 2
+    with pytest.raises(SpecParseError):
+        parse_function("poly[1,0.5]")
+    with pytest.raises(SpecParseError):
+        parse_function("const[nan]", schur=False)
+
+
+def test_limit_lies_above_test_and_benchmark_sizes():
+    assert 16 * 1600**2 <= MAX_DENSE_BYTES
+    assert 16 * 1025**2 <= MAX_DENSE_BYTES
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psd", "--kernel", "szego", "--grid", "random[n=100000,rmax=0.5,seed=1]"),
+        ("psd", "--kernel", "szego", "--grid", "radial[0.3,0.6;angles=50000]"),
+        ("toeplitz", "--b", "blaschke[0.5]", "--degree", "100000"),
+        ("--degree", "100000", "toeplitz", "--b", "atomic[sigma=1,xi=1]", "--alpha", "1"),
+    ],
+)
+def test_oversized_grid_or_degree_is_refused_before_allocation(capsys, argv):
+    result = {}
+    peak = _peak_bytes(lambda: result.update(code=main(list(argv))))
+    captured = capsys.readouterr()
+    assert result["code"] == 1
+    assert captured.out == ""
+    assert "100000 x 100000 complex matrix" in captured.err or (
+        "100001 x 100001 complex matrix" in captured.err
+    )
+    assert "above the limit" in captured.err
+    assert peak < 4 * 1024 * 1024
+
+
+def test_grid_specs_check_the_limit_at_construction():
+    with pytest.raises(SpecParseError, match="complex matrix"):
+        parse_grid("random[n=100000,rmax=0.5,seed=1]")
+    with pytest.raises(ValueError, match="complex matrix"):
+        RadialGrid((0.5,), 100000)
+    with pytest.raises(ValueError, match="complex matrix"):
+        RandomGrid(100000, 0.5, 1)
+    with pytest.raises(ValueError, match="complex matrix"):
+        monomial_norms(0.0, 100000)
+    with pytest.raises(ValueError, match="complex matrix"):
+        SpaceWeight.for_degree(-1.0, 100000)
+
+
+def test_limit_is_one_module_constant(monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_DENSE_BYTES", 16 * 10 * 10)
+    assert RadialGrid((0.5,), 10).size == 10
+    with pytest.raises(ValueError, match="a grid of 11 points"):
+        RadialGrid((0.5,), 11)
+    assert len(monomial_norms(0.0, 9)) == 10
+    with pytest.raises(ValueError, match="degree 10 "):
+        monomial_norms(0.0, 10)
+    points = PointSet(tuple(0.05 * k for k in range(11)))
+    with pytest.raises(ValueError, match="a Gram matrix of 11 points"):
+        gram(Szego(), points)
