@@ -74,12 +74,27 @@ def mobius_factor_series(a: complex, order: int) -> np.ndarray:
     return out
 
 
-def _truncated_product(series_list, order: int) -> np.ndarray:
+def prefix_products(zeros, order: int):
+    """Taylor coefficients through ``order`` of the partial Blaschke products.
+
+    Yields 1 and then, for k = 1..len(zeros), the product of the first k
+    factors; each extends the one before by one truncated convolution.
+    """
     out = np.zeros(order + 1, dtype=complex)
     out[0] = 1.0
-    for s in series_list:
-        out = np.convolve(out, s)[: order + 1]
-    return out
+    yield out
+    for a in zeros:
+        out = np.convolve(out, mobius_factor_series(a, order))[: order + 1]
+        yield out
+
+
+def axis_phases(omega: complex, order: int) -> np.ndarray:
+    """exp(-i n arg omega) for n = 0..order: conj(omega)^n, unimodular to rounding.
+
+    The diagonal of U = diag(conj(omega)^n) by which the reflection-symmetric
+    routes rotate the real data of g back to b(z) = c g(conj(omega) z).
+    """
+    return np.exp(-1j * cmath.phase(omega) * np.arange(order + 1))
 
 
 @dataclass(frozen=True)
@@ -119,8 +134,8 @@ class BlaschkeProduct:
         return out
 
     def taylor(self, order: int) -> np.ndarray:
-        series = [mobius_factor_series(a, order) for a in self.zeros]
-        return self.unimodular_constant * _truncated_product(series, order)
+        *_, product = prefix_products(self.zeros, order)
+        return self.unimodular_constant * product
 
     def reflection_axis(self):
         """(omega, g) with b(z) = c g(conj(omega) z), |c| = 1, g real; else None.
@@ -168,19 +183,25 @@ class AtomicSingularInner:
         return np.exp(-self.mass * (xi + z) / (xi - z))
 
     def taylor(self, order: int) -> np.ndarray:
-        # exponent g(z) = -mass (1 + 2 sum_{n>=1} (z/atom)^n)
-        u = 1.0 / self.boundary_atom
-        g = np.zeros(order + 1, dtype=complex)
-        g[0] = -self.mass
-        if order >= 1:
-            g[1:] = -2.0 * self.mass * u ** np.arange(1, order + 1)
-        # h = exp(g) via h' = g' h
-        h = np.zeros(order + 1, dtype=complex)
-        h[0] = np.exp(g[0])
-        for n in range(1, order + 1):
-            k = np.arange(1, n + 1)
-            h[n] = np.sum(k * g[k] * h[n - k]) / n
-        return h
+        """e^-m L_n^(-1)(2m) conj(atom)^n for n = 0..order, in O(order).
+
+        exp(-m (1 + z)/(1 - z)) = e^-m exp(-2m z/(1 - z)) is e^-m times the
+        generating function of the Laguerre values L_n^(-1)(2m), whose
+        three-term recurrence (n + 1) L_{n+1} = (2n - 2m) L_n - (n - 1) L_{n-1}
+        runs in real arithmetic; b(z) = g(conj(atom) z) with g the atom at 1
+        then rotates the coefficients by ``axis_phases(atom)``.
+        """
+        m = self.mass
+        h = np.empty(order + 1)
+        prev, cur = 0.0, math.exp(-m)
+        h[0] = cur
+        for n in range(order):
+            prev, cur = cur, ((2 * n - 2.0 * m) * cur - (n - 1) * prev) / (n + 1)
+            h[n + 1] = cur
+        # The constructor admits |atom| off 1 by up to UNIMODULAR_TOL; the
+        # modulus factor keeps 1/atom^n there and is exactly 1 when |atom| = 1.
+        atom = self.boundary_atom
+        return h * abs(atom) ** -np.arange(order + 1) * axis_phases(atom, order)
 
     def reflection_axis(self):
         """(atom, the same atom moved to 1): b(z) = g(conj(atom) z).
@@ -219,8 +240,11 @@ class TaylorPolynomial:
                 2j * np.pi * np.arange(_CERT_GRID_ANGLES) / _CERT_GRID_ANGLES
             )
             pts = np.outer(radii, angles).ravel()
-            worst = np.max(np.abs(self._raw_eval(pts)))
-            if worst > 1.0 + UNIT_BALL_TOL:
+            # Huge coefficients overflow to inf or NaN on the grid; np.max
+            # propagates NaN, which the negated test then refuses as well.
+            with np.errstate(all="ignore"):
+                worst = np.max(np.abs(self._raw_eval(pts)))
+            if not worst <= 1.0 + UNIT_BALL_TOL:
                 raise SchurBoundError(
                     "polynomial exceeds the unit ball on the certification grid "
                     "(max modulus %.6g)" % worst

@@ -191,9 +191,11 @@ def check_dense_size(n: int, what: str) -> None:
     """
     need = 16 * n * n
     if need > MAX_DENSE_BYTES:
+        # need / 1e9 raises OverflowError beyond the float range.
+        gigabytes = need / 1e9 if need < 1e300 else math.inf
         raise ValueError(
             "%s needs a %d x %d complex matrix (%.3g GB), above the limit of "
-            "%.3g GB" % (what, n, n, need / 1e9, MAX_DENSE_BYTES / 1e9)
+            "%.3g GB" % (what, n, n, gigabytes, MAX_DENSE_BYTES / 1e9)
         )
 
 

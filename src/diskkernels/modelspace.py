@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BlaschkeProduct, mobius_factor, mobius_factor_series
+from .functions import BlaschkeProduct, mobius_factor, prefix_products
 from .kernels import DBR, PointSet
 
 PAIRING_DEGREE = 256
@@ -57,19 +57,19 @@ class ModelBasis:
         return np.stack([self.eval_element(n, z) for n in range(self.dimension)])
 
     def taylor_matrix(self, order: int = PAIRING_DEGREE) -> np.ndarray:
-        """Taylor coefficients of every element through the given degree."""
-        rows = []
-        for n in range(self.dimension):
-            prefix, normalization = self.element_data(n)
-            pole = self.product.zeros[n]
-            # normalization * geometric series of the Cauchy factor,
-            # convolved with the prefix Blaschke factors
-            series = normalization * np.conj(pole) ** np.arange(order + 1)
-            for a in prefix:
-                series = np.convolve(series, mobius_factor_series(a, order))
-                series = series[: order + 1]
-            rows.append(series)
-        return np.asarray(rows)
+        """Taylor coefficients of every element through the given degree.
+
+        Element n is its Cauchy series convolved with the product of its n
+        prefix factors, which ``prefix_products`` extends by one factor per
+        element: 2d truncated convolutions in all for d elements.
+        """
+        zeros = self.product.zeros
+        rows = np.empty((self.dimension, order + 1), dtype=complex)
+        for n, (pole, prefix) in enumerate(zip(zeros, prefix_products(zeros, order))):
+            normalization = self.element_data(n)[1]
+            cauchy = normalization * np.conj(pole) ** np.arange(order + 1)
+            rows[n] = np.convolve(cauchy, prefix)[: order + 1]
+        return rows
 
     def orthonormality_defect(self, order: int = PAIRING_DEGREE) -> float:
         """Max deviation of the H^2 Gram matrix from the identity.

@@ -8,7 +8,6 @@ made from these matrices should be re-checked at doubled N.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .functions import SchurFunction, ensure_finite, ensure_in_disk, taylor_coefficients
+from .functions import (
+    SchurFunction,
+    axis_phases,
+    ensure_finite,
+    ensure_in_disk,
+    taylor_coefficients,
+)
 from .kernels import check_dense_size, weighted_bergman_coefficients
 
 CLIP_LIMIT = 1e-8
@@ -101,14 +106,20 @@ def toeplitz_analytic(
 
 
 def _toeplitz_fill(coeffs: np.ndarray, weight: SpaceWeight, degree: int) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of the coefficients, in coeffs' dtype."""
+    """Lower-triangular Toeplitz matrix of the coefficients, in coeffs' dtype.
+
+    Entry (i, j) is coeffs[i - j] * norms[i] / norms[j] below the diagonal
+    and +0.0 above it; a coefficient equal to 0 (-0.0 included) also gives
+    +0.0, so printed matrices carry no negative zeros.
+    """
     norms = np.sqrt(weight.norms_sq[: degree + 1])
-    M = np.zeros((degree + 1, degree + 1), dtype=coeffs.dtype)
-    for d in range(degree + 1):
-        if coeffs[d] == 0:
-            continue
-        idx = np.arange(degree + 1 - d)
-        M[idx + d, idx] = coeffs[d] * norms[idx + d] / norms[idx]
+    padded = np.zeros(2 * degree + 1, dtype=coeffs.dtype)
+    padded[degree:] = np.where(coeffs == 0, 0, coeffs)
+    # Window i of the reversed padding holds coeffs[degree - i - j] at j, so
+    # row i of the flipped windows is coeffs[i - j], zero where j > i.
+    windows = np.lib.stride_tricks.sliding_window_view(padded[::-1], degree + 1)
+    M = windows[::-1] * norms[:, None]
+    M /= norms
     return M
 
 
@@ -212,7 +223,7 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
             D = np.eye(degree + 1) - T @ T.T
             D = 0.5 * (D + D.T)
             evals, vecs = np.linalg.eigh(D)
-            phases = _axis_phases(omega, degree)
+            phases = axis_phases(omega, degree)
             D = D * np.outer(phases, phases.conj())
             D = 0.5 * (D + D.conj().T)
             return _spectral_defect(weight, degree, D, evals, phases[:, None] * vecs)
@@ -221,11 +232,6 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     D = 0.5 * (D + D.conj().T)
     evals, vecs = np.linalg.eigh(D)
     return _spectral_defect(weight, degree, D, evals, vecs)
-
-
-def _axis_phases(omega: complex, degree: int) -> np.ndarray:
-    """Diagonal of U = diag(conj(omega)^n), unimodular to rounding."""
-    return np.exp(-1j * cmath.phase(omega) * np.arange(degree + 1))
 
 
 def _spectral_defect(weight, degree, D, evals, vecs) -> DefectOperator:
@@ -268,7 +274,7 @@ def kernel_section_taylor(
     if axis is not None:
         omega, g = axis
         section = _kernel_section(g, alpha, omega.conjugate() * w, degree)
-        return _axis_phases(omega, degree) * section
+        return axis_phases(omega, degree) * section
     return _kernel_section(b, alpha, w, degree)
 
 

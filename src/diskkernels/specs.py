@@ -16,6 +16,7 @@ digits, so canonical output re-parses to an equal structure.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import functions as fn
@@ -23,6 +24,7 @@ from . import kernels as kx
 from .formatting import fmt_complex, fmt_real
 
 _NUM = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_DIGITS = re.compile(r"[+-]?\d+")
 _NAME = re.compile(r"[a-z][a-z0-9_]*")
 _BINARY = {"sum": kx.Sum, "schur": kx.SchurProduct, "diff": kx.Difference}
 
@@ -76,17 +78,34 @@ class _Parser:
         self.pos = m.end()
         return m.group(0)
 
-    def parse_real(self) -> float:
+    def parse_number(self) -> str:
         m = _NUM.match(self.text, self.pos)
         if m is None:
             self.fail("expected a number")
         self.pos = m.end()
-        return float(m.group(0))
+        return m.group(0)
+
+    def parse_real(self) -> float:
+        return float(self.parse_number())
 
     def parse_int(self) -> int:
+        """An integer literal; ``1e2``-style literals count when integral.
+
+        Digits alone are read exactly with ``int``, since ``float`` would
+        round them above 2^53; a literal beyond the float range, or beyond
+        Python's limit on integer digits, is refused here.
+        """
         start = self.pos
-        value = self.parse_real()
-        if value != int(value):
+        text = self.parse_number()
+        if _DIGITS.fullmatch(text):
+            try:
+                return int(text)
+            except ValueError:
+                self.fail("integer out of range", start)
+        value = float(text)
+        if math.isinf(value):
+            self.fail("integer out of range", start)
+        if not value.is_integer():
             self.fail("expected an integer", start)
         return int(value)
 
