@@ -85,91 +85,77 @@ def _angle_count(text: str) -> int:
     return value
 
 
+# Flags accepted on either side of the subcommand: (flag, add_argument keywords).
+GLOBAL_FLAGS = (
+    ("--tol", dict(type=_tolerance, default=1e-9, help="PSD tolerance")),
+    ("--degree", dict(type=int, default=128, help="truncation degree for operators")),
+    ("--format", dict(choices=("json", "csv"), default="json", dest="fmt",
+                      help="report format")),
+    ("--seed", dict(type=int, default=0,
+                    help="seed used when a random grid spec omits one")),
+)
+
+
 def build_parser() -> _ArgumentParser:
     top = _ArgumentParser(
         prog="diskkernels",
         description="Reproducing-kernel positivity, dominance, and operator checks "
         "on the unit disk.",
     )
-    top.add_argument("--tol", type=_tolerance, default=1e-9, help="PSD tolerance")
-    top.add_argument(
-        "--degree", type=int, default=128, help="truncation degree for operators"
-    )
-    top.add_argument(
-        "--format", choices=("json", "csv"), default="json", dest="fmt",
-        help="report format",
-    )
-    top.add_argument(
-        "--seed", type=int, default=0,
-        help="seed used when a random grid spec omits one",
-    )
+    for flag, options in GLOBAL_FLAGS:
+        top.add_argument(flag, **options)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def accept_globals(p):
-        # Same flags as the top parser, so they work on either side of the
-        # subcommand; SUPPRESS keeps them from overriding values parsed earlier.
-        p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        p.add_argument("--degree", type=int, default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("json", "csv"), dest="fmt",
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        # Each subparser declares its own copy of the global flags: SUPPRESS
+        # keeps them from overriding values parsed before the subcommand,
+        # which a shared ``parents=`` parser would do.
+        for flag, options in GLOBAL_FLAGS:
+            p.add_argument(flag, **{**options, "default": argparse.SUPPRESS,
+                                    "help": argparse.SUPPRESS})
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("psd", help="PSD test of a kernel Gram matrix")
-    accept_globals(p)
-    p.set_defaults(run=_run_psd)
+    p = command("psd", _run_psd, "PSD test of a kernel Gram matrix")
     p.add_argument("--kernel", required=True)
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("dominance", help="least delta with K1 <= delta K2 on a grid")
-    accept_globals(p)
-    p.set_defaults(run=_run_dominance)
+    p = command(
+        "dominance", _run_dominance, "least delta with K1 <= delta K2 on a grid"
+    )
     p.add_argument("--k1", required=True)
     p.add_argument("--k2", required=True)
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("ratio", help="boundary growth ratio table of a symbol")
-    accept_globals(p)
-    p.set_defaults(run=_run_ratio)
+    p = command("ratio", _run_ratio, "boundary growth ratio table of a symbol")
     p.add_argument("--b", required=True)
     p.add_argument("--radii", required=True)
     p.add_argument("--angles", type=_angle_count, default=64)
 
-    p = sub.add_parser("onb", help="model-space basis residual against the kernel")
-    accept_globals(p)
-    p.set_defaults(run=_run_onb)
+    p = command("onb", _run_onb, "model-space basis residual against the kernel")
     p.add_argument("--b", required=True)
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("toeplitz", help="dump a truncated Toeplitz matrix as CSV")
-    accept_globals(p)
-    p.set_defaults(run=_run_toeplitz)
+    p = command("toeplitz", _run_toeplitz, "dump a truncated Toeplitz matrix as CSV")
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--kind", choices=("analytic", "coanalytic"), default="analytic")
     p.add_argument("--out", default=None, help="CSV path (sidecar JSON added)")
 
-    p = sub.add_parser("membership", help="norm-bound membership test on a grid")
-    accept_globals(p)
-    p.set_defaults(run=_run_membership)
+    p = command("membership", _run_membership, "norm-bound membership test on a grid")
     p.add_argument("--f", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("multiplier", help="multiplier-norm bound test on a grid")
-    accept_globals(p)
-    p.set_defaults(run=_run_multiplier)
+    p = command("multiplier", _run_multiplier, "multiplier-norm bound test on a grid")
     p.add_argument("--phi", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--grid", required=True)
 
-    p = sub.add_parser("verify", help="theorem-level checks")
-    accept_globals(p)
-    p.set_defaults(run=_run_verify)
+    p = command("verify", _run_verify, "theorem-level checks")
     p.add_argument("statement", choices=("sub", "sub2", "m1"))
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=float, default=0.0)

@@ -154,6 +154,12 @@ class BlaschkeProduct:
             real_zeros.append(math.copysign(abs(a), t.real))
         return omega, BlaschkeProduct(tuple(real_zeros))
 
+    def monomial(self):
+        """(c, degree) when every zero is at 0, so b = c z^degree; else None."""
+        if all(a == 0 for a in self.zeros):
+            return self.unimodular_constant, self.degree
+        return None
+
 
 @dataclass(frozen=True)
 class AtomicSingularInner:
@@ -212,6 +218,9 @@ class AtomicSingularInner:
         if abs(abs(self.boundary_atom) - 1.0) > AXIS_TOL:
             return None
         return self.boundary_atom, AtomicSingularInner(self.mass)
+
+    def monomial(self):
+        return None  # never c z^k
 
 
 @dataclass(frozen=True)
@@ -282,6 +291,13 @@ class TaylorPolynomial:
             return None
         return 1.0 + 0.0j, self
 
+    def monomial(self):
+        """(c_k, k) when no other coefficient is nonzero (-0.0 is zero); else None."""
+        support = [i for i, c in enumerate(self.coefficients) if c != 0] or [0]
+        if len(support) > 1:
+            return None
+        return self.coefficients[support[0]], support[0]
+
 
 @dataclass(frozen=True)
 class ConstantFunction:
@@ -315,6 +331,9 @@ class ConstantFunction:
         """(1, the constant |value|): b = c |value| with c unimodular."""
         return 1.0 + 0.0j, ConstantFunction(abs(self.value), self.unit_ball_check)
 
+    def monomial(self):
+        return self.value, 0
+
 
 SchurFunction = Union[
     BlaschkeProduct, AtomicSingularInner, TaylorPolynomial, ConstantFunction
@@ -337,6 +356,12 @@ class NormalizedZeroKernel:
         b0 = self.value_at_zero
         scale = 1.0 / math.sqrt(1.0 - abs(b0) ** 2)
         return scale * (1.0 - np.conj(b0) * self.base.eval(z))
+
+    def monomial(self):
+        """(1, 0) when b(0) = 0, where f0 is the constant 1; else None."""
+        if self.value_at_zero == 0:
+            return 1.0 + 0.0j, 0
+        return None
 
 
 def normalized_zero_kernel(b: SchurFunction) -> NormalizedZeroKernel:

@@ -4,6 +4,10 @@ Leaves: Szego, weighted Bergman, de Branges-Rovnyak, sub-Bergman.
 Nodes: sum, entrywise (Schur) product, nonnegative scaling, difference,
 conjugate scaling by a symbol. Kernel expressions evaluate pointwise and
 assemble Hermitian Gram matrices over validated point sets.
+
+Every node has ``eval(z, w)`` and ``diagonal_series(order)``, the c_0..c_order
+of a kernel sum_n c_n (conj(w) z)^n; the latter raises ValueError when a
+symbol in the tree is not c z^k (its ``monomial()`` is None).
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class Szego:
         w = np.asarray(w, dtype=complex)
         return 1.0 / (1.0 - np.conj(w) * z)
 
+    def diagonal_series(self, order):
+        return np.ones(order + 1)
+
 
 @dataclass(frozen=True)
 class WeightedBergman:
@@ -53,6 +60,9 @@ class WeightedBergman:
         w = np.asarray(w, dtype=complex)
         return (1.0 - np.conj(w) * z) ** (-(self.alpha + 2.0))
 
+    def diagonal_series(self, order):
+        return weighted_bergman_coefficients(self.alpha, order)
+
 
 @dataclass(frozen=True)
 class DBR:
@@ -66,6 +76,11 @@ class DBR:
         bz = self.b.eval(z)
         bw = self.b.eval(w)
         return (1.0 - np.conj(bw) * bz) / (1.0 - np.conj(w) * z)
+
+    def diagonal_series(self, order):
+        mono = _symbol_monomial(self.b, "symbol")
+        base = weighted_bergman_coefficients(-1.0, order)
+        return base - _shifted(base, mono)
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,11 @@ class SubBergman:
             -(self.alpha + 2.0)
         )
 
+    def diagonal_series(self, order):
+        mono = _symbol_monomial(self.b, "symbol")
+        base = weighted_bergman_coefficients(self.alpha, order)
+        return base - _shifted(base, mono)
+
 
 @dataclass(frozen=True)
 class Sum:
@@ -98,6 +118,9 @@ class Sum:
 
     def eval(self, z, w):
         return self.left.eval(z, w) + self.right.eval(z, w)
+
+    def diagonal_series(self, order):
+        return self.left.diagonal_series(order) + self.right.diagonal_series(order)
 
 
 @dataclass(frozen=True)
@@ -109,6 +132,12 @@ class SchurProduct:
 
     def eval(self, z, w):
         return self.left.eval(z, w) * self.right.eval(z, w)
+
+    def diagonal_series(self, order):
+        conv = np.convolve(
+            self.left.diagonal_series(order), self.right.diagonal_series(order)
+        )
+        return conv[: order + 1]
 
 
 @dataclass(frozen=True)
@@ -127,6 +156,9 @@ class Scale:
     def eval(self, z, w):
         return self.factor * self.operand.eval(z, w)
 
+    def diagonal_series(self, order):
+        return self.factor * self.operand.diagonal_series(order)
+
 
 @dataclass(frozen=True)
 class Difference:
@@ -137,6 +169,9 @@ class Difference:
 
     def eval(self, z, w):
         return self.left.eval(z, w) - self.right.eval(z, w)
+
+    def diagonal_series(self, order):
+        return self.left.diagonal_series(order) - self.right.diagonal_series(order)
 
 
 @dataclass(frozen=True)
@@ -151,6 +186,10 @@ class ConjugateScale:
         fw = self.func.eval(np.asarray(w, dtype=complex))
         return fz * np.conj(fw) * self.operand.eval(z, w)
 
+    def diagonal_series(self, order):
+        mono = _symbol_monomial(self.func, "conjugate-scaling symbol")
+        return _shifted(self.operand.diagonal_series(order), mono)
+
 
 KernelExpr = Union[
     Szego, WeightedBergman, DBR, SubBergman,
@@ -158,6 +197,29 @@ KernelExpr = Union[
 ]
 
 _LEAF_TYPES = (Szego, WeightedBergman, DBR, SubBergman)
+
+
+def _symbol_monomial(f, role: str) -> tuple:
+    """(c, k) with f = c z^k, else ValueError naming the symbol's role.
+
+    A symbol without ``monomial()``, such as a plain object with ``eval``,
+    is not of that form.
+    """
+    mono = f.monomial() if hasattr(f, "monomial") else None
+    if mono is None:
+        raise ValueError(
+            "kernel is not rotation-invariant: %s is not of the form c z^k" % role
+        )
+    return mono
+
+
+def _shifted(series: np.ndarray, mono: tuple) -> np.ndarray:
+    """|c|^2 times the series shifted right by k, for a symbol c z^k."""
+    c, k = mono
+    out = np.zeros(len(series))
+    if k < len(series):
+        out[k:] = (abs(c) ** 2) * series[: len(series) - k]
+    return out
 
 
 def is_positivity_preserving(kernel: KernelExpr) -> bool:
@@ -381,16 +443,17 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     # are rejected below, so numpy's warnings about them are not raised.
     with np.errstate(all="ignore"):
         raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
-        # |x| of a complex entry is finite exactly when both parts are, and
-        # np.max propagates NaN, so one finite peak certifies every entry.
-        peak = float(np.max(np.abs(raw)))
+        asym = float(np.max(np.abs(raw - raw.conj().T)))
+        sym = 0.5 * (raw + raw.conj().T)
+        # A non-finite raw entry, or a sum that overflows, leaves sym
+        # non-finite. |x| of a complex entry is finite exactly when both parts
+        # are, and np.max propagates NaN, so one finite peak certifies sym.
+        peak = float(np.max(np.abs(sym)))
     if not math.isfinite(peak):
         raise ValueError("kernel evaluation has non-finite entries")
-    asym = float(np.max(np.abs(raw - raw.conj().T)))
     scale = max(1.0, peak)
     if asym > HERMITIAN_TOL * scale:
         raise ValueError(
             "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym
         )
-    sym = 0.5 * (raw + raw.conj().T)
     return GramMatrix(matrix=sym, point_set=points, kernel=kernel, asymmetry=asym)

@@ -15,22 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels as kx
-from .functions import (
-    BlaschkeProduct,
-    ConstantFunction,
-    NormalizedZeroKernel,
-    TaylorPolynomial,
-    ensure_finite,
-)
-from .kernels import (
-    GramMatrix,
-    KernelExpr,
-    PointSet,
-    RadialGrid,
-    gram,
-    sample_grid,
-    weighted_bergman_coefficients,
-)
+from .functions import ensure_finite
+from .kernels import GramMatrix, KernelExpr, PointSet, RadialGrid, gram, sample_grid
 from .specs import format_kernel
 
 DEFAULT_TOL = 1e-9
@@ -94,18 +80,24 @@ def _as_matrix(G) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if is_gram:
         return M
-    asym = float(np.max(np.abs(M - M.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+    # Entries near the float limit overflow here; the result is checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.max(np.abs(M - M.conj().T)))
+        scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+        sym = 0.5 * (M + M.conj().T)
     if asym > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian (deviation %.3g)" % asym)
-    return 0.5 * (M + M.conj().T)
+    if not np.all(np.isfinite(sym)):
+        raise ValueError("matrix has non-finite entries")
+    return sym
 
 
 def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     """The Gram split by a DFT over the angle index, or None for the dense route.
 
     On a radial grid of R radii and A angles, in ``sample_grid`` order, a
-    rotation-invariant kernel has an R x R array of A x A circulant blocks.
+    rotation-invariant kernel (one with a ``diagonal_series``) has an R x R
+    array of A x A circulant blocks.
     Conjugating by the unitary DFT in the angle index turns it into A
     Hermitian R x R blocks, returned as an (A, R, R) stack with the same
     spectrum. The blocks come from the first column of each circulant
@@ -118,7 +110,7 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     if not isinstance(grid, RadialGrid) or grid.size != G.size:
         return None
     try:
-        _diagonal_series(G.kernel, 0)
+        G.kernel.diagonal_series(0)
     except ValueError:
         return None
     R, A = len(grid.radii), grid.angles
@@ -141,6 +133,9 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
 def _verdict(evals: np.ndarray, tol: float) -> PsdVerdict:
     lo = float(np.min(evals))
     spectral = float(max(abs(lo), abs(float(np.max(evals)))))
+    # An infinite spectral norm would scale the tolerance to infinity too.
+    if not math.isfinite(spectral):
+        raise ValueError("eigenvalues overflow the float range")
     return PsdVerdict(
         is_psd=bool(lo >= -tol * max(1.0, spectral)),
         min_eigenvalue=lo,
@@ -256,91 +251,18 @@ class DiagonalSeries:
         self.coefficients.setflags(write=False)
 
 
-def _radial_monomial(f) -> Optional[tuple[complex, int]]:
-    """Decompose f as c * z^k when possible; None otherwise."""
-    if isinstance(f, BlaschkeProduct):
-        if all(a == 0 for a in f.zeros):
-            return f.unimodular_constant, f.degree
-        return None
-    if isinstance(f, ConstantFunction):
-        return f.value, 0
-    if isinstance(f, TaylorPolynomial):
-        support = [i for i, c in enumerate(f.coefficients) if c != 0]
-        if len(support) == 0:
-            return 0.0 + 0.0j, 0
-        if len(support) == 1:
-            k = support[0]
-            return f.coefficients[k], k
-        return None
-    if isinstance(f, NormalizedZeroKernel):
-        if f.value_at_zero == 0:
-            return 1.0 + 0.0j, 0
-        return None
-    return None
-
-
-def _diagonal_series(kernel: KernelExpr, order: int) -> np.ndarray:
-    if isinstance(kernel, kx.Szego):
-        return np.ones(order + 1)
-    if isinstance(kernel, kx.WeightedBergman):
-        return weighted_bergman_coefficients(kernel.alpha, order)
-    if isinstance(kernel, (kx.DBR, kx.SubBergman)):
-        mono = _radial_monomial(kernel.b)
-        if mono is None:
-            raise ValueError(
-                "kernel is not rotation-invariant: symbol is not of the form c z^k"
-            )
-        c, k = mono
-        alpha = kernel.alpha if isinstance(kernel, kx.SubBergman) else -1.0
-        base = weighted_bergman_coefficients(alpha, order)
-        out = base.copy()
-        if k <= order:
-            out[k:] -= (abs(c) ** 2) * base[: order + 1 - k]
-        return out
-    if isinstance(kernel, kx.Sum):
-        return _diagonal_series(kernel.left, order) + _diagonal_series(
-            kernel.right, order
-        )
-    if isinstance(kernel, kx.Difference):
-        return _diagonal_series(kernel.left, order) - _diagonal_series(
-            kernel.right, order
-        )
-    if isinstance(kernel, kx.Scale):
-        return kernel.factor * _diagonal_series(kernel.operand, order)
-    if isinstance(kernel, kx.SchurProduct):
-        conv = np.convolve(
-            _diagonal_series(kernel.left, order),
-            _diagonal_series(kernel.right, order),
-        )
-        return conv[: order + 1]
-    if isinstance(kernel, kx.ConjugateScale):
-        mono = _radial_monomial(kernel.func)
-        if mono is None:
-            raise ValueError(
-                "kernel is not rotation-invariant: conjugate-scaling symbol is "
-                "not of the form c z^k"
-            )
-        c, k = mono
-        base = _diagonal_series(kernel.operand, order)
-        out = np.zeros(order + 1)
-        if k <= order:
-            out[k:] = (abs(c) ** 2) * base[: order + 1 - k]
-        return out
-    raise TypeError("not a kernel expression: %r" % (kernel,))
-
-
 def diagonal_positivity_oracle(kernel: KernelExpr, order: int = 128) -> DiagonalSeries:
     """Exact positivity certificate for rotation-invariant kernels.
 
-    Writes the kernel as sum_n c_n (conj(w) z)^n (detected symbolically
-    from the expression tree; symbols must be c z^k) and reports whether
-    every coefficient through the given order is nonnegative. Positivity
-    of the coefficients is equivalent to positivity of the kernel, so this
-    oracle is grid-free.
+    Writes the kernel as sum_n c_n (conj(w) z)^n, with the coefficients
+    from its ``diagonal_series`` (every symbol in it must be c z^k, else
+    ValueError), and reports whether every coefficient through the given
+    order is nonnegative. Positivity of the coefficients is equivalent to
+    positivity of the kernel, so this oracle is grid-free.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = _diagonal_series(kernel, int(order))
+    coeffs = kernel.diagonal_series(int(order))
     verdict = bool(np.min(coeffs) >= -ORACLE_TOL)
     return DiagonalSeries(coefficients=coeffs, nonnegative=verdict, order=int(order))
 
@@ -364,10 +286,11 @@ def membership_check(
     if c <= 0.0:
         raise ValueError("norm bound c must be positive")
     tol = _checked_tol(tol)
-    arr = points.array
-    v = _values_on(f, arr)
-    G = gram(kernel, points).matrix
-    test = c * c * G - np.outer(v, v.conj())
+    # Overflow shows as non-finite entries, which is_psd rejects.
+    with np.errstate(all="ignore"):
+        v = _values_on(f, points.array)
+        G = gram(kernel, points).matrix
+        test = c * c * G - np.outer(v, v.conj())
     return is_psd(test, tol)
 
 

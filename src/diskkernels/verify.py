@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import BlaschkeProduct, ConstantFunction, ratio_table
+from .functions import BlaschkeProduct, ratio_table
 from .kernels import PointSet, RadialGrid, SubBergman, WeightedBergman, sample_grid
 from .modelspace import pointwise_bound_constant
 from .psd import DEFAULT_TOL, dominance_delta_min
@@ -60,7 +60,8 @@ class TheoremReport:
 
 
 def _require_nonconstant(b) -> complex:
-    if isinstance(b, ConstantFunction):
+    mono = b.monomial()
+    if mono is not None and mono[1] == 0:
         raise ValueError("the symbol must be non-constant")
     b0 = complex(b.eval(0.0))
     if abs(b0) >= 1.0:
