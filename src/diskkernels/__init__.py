@@ -83,6 +83,7 @@ from .modelspace import (
 from .verify import (
     TheoremReport,
     boundary_ratio_grid,
+    verify_equality,
     verify_equality_converse,
     verify_equality_forward,
     verify_inclusion,

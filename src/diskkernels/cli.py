@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .formatting import canonical_json, flatten_report
-from .functions import BlaschkeProduct, ratio_table
+from .functions import ratio_table
 from .kernels import gram, sample_grid
 from .modelspace import PAIRING_DEGREE, onb_sum_check, takenaka_malmquist
 from .operators import (
@@ -37,13 +37,7 @@ from .specs import (
     parse_kernel,
     point_set_obj,
 )
-from .verify import (
-    CONVERSE_RADII,
-    verify_equality_converse,
-    verify_equality_forward,
-    verify_inclusion,
-    verify_m1,
-)
+from .verify import CONVERSE_RADII, verify_equality, verify_inclusion, verify_m1
 
 
 class UsageError(Exception):
@@ -224,10 +218,8 @@ def _run_ratio(args) -> tuple[int, dict]:
 
 def _run_onb(args) -> tuple[int, dict]:
     b = parse_function(args.b)
-    if not isinstance(b, BlaschkeProduct):
-        raise UsageError("onb needs a finite Blaschke product symbol")
-    points = _points_for(args)
     basis = takenaka_malmquist(b)
+    points = _points_for(args)
     residual = onb_sum_check(b, points)
     report = {
         "b": format_function(b),
@@ -283,27 +275,17 @@ def _run_multiplier(args) -> tuple[int, dict]:
 
 def _run_verify(args) -> tuple[int, dict]:
     b = parse_function(args.b)
-    radii = _parse_radii(args.radii) if args.radii else None
+    radii = _parse_radii(args.radii) if args.radii else CONVERSE_RADII
+    if args.grid is None and args.statement != "sub2":
+        raise UsageError("verify %s needs --grid" % args.statement)
+    points = None if args.grid is None else _points_for(args)
     if args.statement == "sub":
-        if args.grid is None:
-            raise UsageError("verify sub needs --grid")
-        report = verify_inclusion(b, args.alpha, _points_for(args), args.tol)
-        code = 0 if report.verdict == "pass" else 2
+        report = verify_inclusion(b, args.alpha, points, args.tol)
     elif args.statement == "sub2":
-        if isinstance(b, BlaschkeProduct):
-            if args.grid is None:
-                raise UsageError("verify sub2 needs --grid for a Blaschke symbol")
-            report = verify_equality_forward(b, args.alpha, _points_for(args), args.tol)
-            code = 0 if report.verdict == "pass" else 2
-        else:
-            report = verify_equality_converse(b, radii or CONVERSE_RADII, args.angles)
-            code = 0 if report.verdict == "divergent" else 2
+        report = verify_equality(b, args.alpha, points, radii, args.angles, args.tol)
     else:
-        if args.grid is None:
-            raise UsageError("verify m1 needs --grid")
-        report = verify_m1(b, _points_for(args), radii or CONVERSE_RADII, args.tol)
-        code = 0 if report.verdict == "pass" else 2
-    return code, report.report_dict()
+        report = verify_m1(b, points, radii, args.tol, args.angles)
+    return (0 if report.holds else 2), report.report_dict()
 
 
 def main(argv=None) -> int:

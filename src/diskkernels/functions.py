@@ -407,6 +407,7 @@ def ratio_table(b, radii, angles: int) -> list[float]:
 
     Each circle carries ``angles`` equally spaced points starting at z = r.
     """
+    from . import kernels  # imported here because kernels imports this module
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0:
         raise ValueError("need at least one radius")
@@ -415,6 +416,12 @@ def ratio_table(b, radii, angles: int) -> list[float]:
     m = int(angles)
     if m < 1:
         raise ValueError("need at least one angle")
+    need = 96 * m  # peak bytes per angle over the symbol classes, before allocating
+    if need > kernels.MAX_DENSE_BYTES:
+        raise ValueError(
+            "%d angles per circle need about %.3g GB, above the limit of %.3g GB"
+            % (m, min(need, 1e300) / 1e9, kernels.MAX_DENSE_BYTES / 1e9)
+        )
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     return [float(np.max(ratio_values(b, r * circle))) for r in radii]
 

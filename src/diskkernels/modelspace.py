@@ -91,8 +91,6 @@ class ModelBasis:
         bounds every truncated inner product.
         """
         rho = max(abs(a) for a in self.product.zeros)
-        if rho == 0.0:
-            return 0.0
         C = self.taylor_matrix(order)
         last = np.abs(C[:, -1]) ** 2
         tails = last * rho * rho / (1.0 - rho * rho)
@@ -116,8 +114,6 @@ def takenaka_malmquist(b: BlaschkeProduct) -> ModelBasis:
     """Orthonormal model-space basis for a finite Blaschke product."""
     if not isinstance(b, BlaschkeProduct):
         raise TypeError("the model-space basis needs a finite Blaschke product")
-    if b.degree == 0:
-        raise ValueError("degree zero leaves an empty model space")
     return ModelBasis(product=b)
 
 

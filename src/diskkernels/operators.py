@@ -42,8 +42,6 @@ def monomial_norms(alpha: float, degree: int) -> np.ndarray:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     check_dense_size(degree + 1, "degree %d" % degree)
-    if alpha == -1.0:
-        return np.ones(degree + 1)
     return 1.0 / weighted_bergman_coefficients(alpha, degree)
 
 

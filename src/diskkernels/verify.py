@@ -10,6 +10,8 @@ Three checks, each a pure computation returning a TheoremReport:
   the diagonal of the model-space kernel.
 * ``verify_equality_converse``: for a non-Blaschke symbol the boundary
   growth ratio diverges, refuting the reverse inclusion.
+
+``verify_equality`` alone chooses between the last two.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class TheoremReport:
     measured: float
     verdict: str
     details: tuple
+
+    @property
+    def holds(self) -> bool:
+        """Whether the statement holds: a pass, or a divergent converse table."""
+        return self.verdict in ("pass", "divergent")
 
     def report_dict(self) -> dict:
         return {
@@ -157,8 +164,7 @@ def verify_equality_converse(
     _require_nonconstant(b)
     radii = tuple(sorted(float(r) for r in radii))
     m = int(angles)
-    table = ratio_table(b, radii, m)
-    reference = ratio_table(b, (0.5,), m)[0]
+    *table, reference = ratio_table(b, radii + (0.5,), m)
     if len(table) >= 3 and (
         table[-1] >= GROWTH_FACTOR * table[-2]
         and table[-2] >= GROWTH_FACTOR * table[-3]
@@ -192,26 +198,35 @@ def verify_equality_converse(
     )
 
 
+def verify_equality(
+    b, alpha: float, points: PointSet | None, radii: tuple = CONVERSE_RADII,
+    angles: int = CONVERSE_ANGLES, tol: float = DEFAULT_TOL,
+) -> TheoremReport:
+    """Sub-Bergman equals the weighted space iff b is a finite Blaschke product.
+
+    Runs the forward bound on ``points`` for a ``BlaschkeProduct`` and the
+    converse table on ``radii`` and ``angles`` for any other symbol.
+    """
+    if not isinstance(b, BlaschkeProduct):
+        return verify_equality_converse(b, radii, angles)
+    if points is None:
+        raise ValueError("the forward bound for a Blaschke symbol needs a grid")
+    return verify_equality_forward(b, alpha, points, tol)
+
+
 def verify_m1(
-    b,
-    points: PointSet,
-    radii: tuple = CONVERSE_RADII,
-    tol: float = DEFAULT_TOL,
+    b, points: PointSet, radii: tuple = CONVERSE_RADII, tol: float = DEFAULT_TOL,
+    angles: int = CONVERSE_ANGLES,
 ) -> TheoremReport:
     """Hardy-space special case: inclusion always, equality iff finite Blaschke.
 
-    Composes the alpha = 0 inclusion check with either the forward bound
-    (finite Blaschke symbol) or the divergence table (any other symbol);
-    passes when the pair is consistent with the statement.
+    Composes the alpha = 0 inclusion check with ``verify_equality``; passes
+    when both hold.
     """
+    # Equality first: a converse table refuses bad radii or angles before any Gram.
+    second = verify_equality(b, 0.0, points, radii, angles, tol)
     inclusion = verify_inclusion(b, 0.0, points, tol)
-    if isinstance(b, BlaschkeProduct):
-        second = verify_equality_forward(b, 0.0, points, tol)
-        consistent = second.verdict == "pass"
-    else:
-        second = verify_equality_converse(b, radii)
-        consistent = second.verdict == "divergent"
-    verdict = "pass" if inclusion.verdict == "pass" and consistent else "fail"
+    verdict = "pass" if inclusion.holds and second.holds else "fail"
     return TheoremReport(
         theorem="m1-special-case",
         b_spec=format_function(b),

@@ -75,7 +75,7 @@ any_symbols = value(SCHUR + NOT_SCHUR, BAD_SYMBOLS)
 kernels = value(KERNELS, BAD_KERNELS)
 grids = value(GRIDS, BAD_GRIDS)
 reals = value(["0.5", "1", "2", "1e-9"])
-angles = value(["1", "3", "8"])
+angles = value(["1", "3", "8"], BAD_NUMBERS + ["1000000000"])
 radii = value(["0.5", "0.5,0.9,0.99", "0.9,0.99,0.999"], BAD_NUMBERS + ["1", "0.5,"])
 
 GLOBAL_FLAGS = {
