@@ -69,14 +69,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _angle_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
-    return value
+def _integer_at_least(low: int):
+    """An argparse type: an integer >= low, of any magnitude."""
+
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be an integer >= %d, got %r" % (low, text)
+            )
+        return value
+
+    return read
 
 
 # Flags accepted on either side of the subcommand: (flag, add_argument keywords).
@@ -85,7 +92,7 @@ GLOBAL_FLAGS = (
     ("--degree", dict(type=int, default=128, help="truncation degree for operators")),
     ("--format", dict(choices=("json", "csv"), default="json", dest="fmt",
                       help="report format")),
-    ("--seed", dict(type=int, default=0,
+    ("--seed", dict(type=_integer_at_least(0), default=0,
                     help="seed used when a random grid spec omits one")),
 )
 
@@ -125,7 +132,7 @@ def build_parser() -> _ArgumentParser:
     p = command("ratio", _run_ratio, "boundary growth ratio table of a symbol")
     p.add_argument("--b", required=True)
     p.add_argument("--radii", required=True)
-    p.add_argument("--angles", type=_angle_count, default=64)
+    p.add_argument("--angles", type=_integer_at_least(1), default=64)
 
     p = command("onb", _run_onb, "model-space basis residual against the kernel")
     p.add_argument("--b", required=True)
@@ -155,7 +162,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--grid", default=None)
     p.add_argument("--radii", default=None)
-    p.add_argument("--angles", type=_angle_count, default=64)
+    p.add_argument("--angles", type=_integer_at_least(1), default=64)
 
     return top
 

@@ -15,6 +15,20 @@ def fmt_int(n: int) -> str:
     return "%d" % int(n)
 
 
+def _fmt_count(n: int) -> str:
+    """A count in full below 10^15, else in scientific form such as ``1.00e+4000``.
+
+    Sizes refused for their memory can have thousands of digits; this keeps
+    the messages that name them short.
+    """
+    n = int(n)
+    if abs(n) < 10**15:
+        return "%d" % n
+    import decimal  # only refused sizes get here; a float overflows beyond 1e308
+
+    return "{:.3g}".format(decimal.Decimal(n))
+
+
 def fmt_complex(c: complex) -> str:
     """Canonical complex literal: ``x``, ``yi`` or ``x+yi`` / ``x-yi``."""
     c = complex(c)

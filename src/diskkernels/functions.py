@@ -14,6 +14,8 @@ from typing import Union
 
 import numpy as np
 
+from .formatting import _fmt_count
+
 UNIMODULAR_TOL = 1e-12
 UNIT_BALL_TOL = 1e-10
 ATOM_GUARD = 1e-12
@@ -419,8 +421,8 @@ def ratio_table(b, radii, angles: int) -> list[float]:
     need = 96 * m  # peak bytes per angle over the symbol classes, before allocating
     if need > kernels.MAX_DENSE_BYTES:
         raise ValueError(
-            "%d angles per circle need about %.3g GB, above the limit of %.3g GB"
-            % (m, min(need, 1e300) / 1e9, kernels.MAX_DENSE_BYTES / 1e9)
+            "%s angles per circle need about %.3g GB, above the limit of %.3g GB"
+            % (_fmt_count(m), min(need, 1e300) / 1e9, kernels.MAX_DENSE_BYTES / 1e9)
         )
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     return [float(np.max(ratio_values(b, r * circle))) for r in radii]

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .formatting import fmt_int, fmt_real
+from .formatting import _fmt_count
 from .functions import SchurFunction, UnitDiskError, ensure_finite
 
 MIN_SEPARATION = 1e-10
@@ -256,8 +256,8 @@ def check_dense_size(n: int, what: str) -> None:
         # need / 1e9 raises OverflowError beyond the float range.
         gigabytes = need / 1e9 if need < 1e300 else math.inf
         raise ValueError(
-            "%s needs a %d x %d complex matrix (%.3g GB), above the limit of "
-            "%.3g GB" % (what, n, n, gigabytes, MAX_DENSE_BYTES / 1e9)
+            "%s needs a %s x %s complex matrix (%.3g GB), above the limit of %.3g GB"
+            % (what, _fmt_count(n), _fmt_count(n), gigabytes, MAX_DENSE_BYTES / 1e9)
         )
 
 
@@ -295,15 +295,11 @@ class RadialGrid:
             raise ValueError("grid radii must be distinct")
         if angles < 1:
             raise ValueError("need at least one angle")
-        check_dense_size(self.size, "a grid of %d points" % self.size)
+        check_dense_size(self.size, "a grid of %s points" % _fmt_count(self.size))
 
     @property
     def size(self) -> int:
         return len(self.radii) * self.angles
-
-    def canonical(self) -> str:
-        radii = ",".join(fmt_real(r) for r in self.radii)
-        return "radial[%s;angles=%s]" % (radii, fmt_int(self.angles))
 
 
 @dataclass(frozen=True)
@@ -327,18 +323,11 @@ class RandomGrid:
             raise UnitDiskError("rmax must lie in (0, 1)")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        check_dense_size(count, "a grid of %d points" % count)
+        check_dense_size(count, "a grid of %s points" % _fmt_count(count))
 
     @property
     def size(self) -> int:
         return self.count
-
-    def canonical(self) -> str:
-        return "random[n=%s,rmax=%s,seed=%s]" % (
-            fmt_int(self.count),
-            fmt_real(self.rmax),
-            fmt_int(self.seed),
-        )
 
 
 GridSpec = Union[RadialGrid, RandomGrid]
@@ -388,13 +377,13 @@ class PointSet:
 
 def sample_grid(spec: GridSpec) -> PointSet:
     """Materialize a grid spec into a PointSet (deterministic for a fixed spec)."""
+    from . import specs  # imported here because specs imports this module
     if isinstance(spec, RadialGrid):
         angles = np.exp(2j * np.pi * np.arange(spec.angles) / spec.angles)
         pts = [r * a for r in spec.radii for a in angles]
-        return PointSet(tuple(pts), provenance=spec.canonical(), spec=spec)
-    if isinstance(spec, RandomGrid):
+    elif isinstance(spec, RandomGrid):
         rng = np.random.default_rng(spec.seed)
-        accepted = np.empty(spec.count, dtype=complex)
+        pts = np.empty(spec.count, dtype=complex)
         k = 0
         # Rejection keeps the draw deterministic while honoring the
         # minimum-separation invariant.
@@ -402,11 +391,12 @@ def sample_grid(spec: GridSpec) -> PointSet:
             radius = spec.rmax * np.sqrt(rng.random())
             angle = 2.0 * np.pi * rng.random()
             z = complex(radius * np.cos(angle), radius * np.sin(angle))
-            if k == 0 or np.min(np.abs(accepted[:k] - z)) >= MIN_SEPARATION:
-                accepted[k] = z
+            if k == 0 or np.min(np.abs(pts[:k] - z)) >= MIN_SEPARATION:
+                pts[k] = z
                 k += 1
-        return PointSet(tuple(accepted), provenance=spec.canonical(), spec=spec)
-    raise TypeError("not a grid spec: %r" % (spec,))
+    else:
+        raise TypeError("not a grid spec: %r" % (spec,))
+    return PointSet(tuple(pts), provenance=specs.format_grid(spec), spec=spec)
 
 
 def default_grid() -> PointSet:
@@ -437,7 +427,8 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     Raises when an entry is not finite, or when the raw evaluation deviates
     from conjugate symmetry by more than 1e-12 relative to the largest entry.
     """
-    check_dense_size(len(points), "a Gram matrix of %d points" % len(points))
+    n = len(points)
+    check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
     # Overflow and invalid operations surface as non-finite entries, which
     # are rejected below, so numpy's warnings about them are not raised.

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .formatting import _fmt_count
 from .functions import (
     SchurFunction,
     axis_phases,
@@ -41,7 +42,7 @@ def monomial_norms(alpha: float, degree: int) -> np.ndarray:
         raise ValueError("alpha must be at least -1")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    check_dense_size(degree + 1, "degree %d" % degree)
+    check_dense_size(degree + 1, "degree %s" % _fmt_count(degree))
     return 1.0 / weighted_bergman_coefficients(alpha, degree)
 
 

@@ -12,21 +12,25 @@ Grammar (no whitespace):
 
 Complex literals are x, yi, or x+yi / x-yi. Formatting uses 17 significant
 digits, so canonical output re-parses to an equal structure.
+
+Each form is declared once, as one row of ``_FUNCTIONS``, ``_KERNELS`` or
+``_GRIDS``; one walker parses from those rows and one formats from them, so
+a new form is one new row.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from typing import Callable, NamedTuple
 
 from . import functions as fn
 from . import kernels as kx
-from .formatting import fmt_complex, fmt_real
+from .formatting import fmt_complex, fmt_int, fmt_real
 
 _NUM = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _DIGITS = re.compile(r"[+-]?\d+")
 _NAME = re.compile(r"[a-z][a-z0-9_]*")
-_BINARY = {"sum": kx.Sum, "schur": kx.SchurProduct, "diff": kx.Difference}
 
 
 class SpecParseError(ValueError):
@@ -121,137 +125,167 @@ class _Parser:
             return complex(first, second)
         return complex(first, 0.0)
 
-    def _construct(self, start: int, builder, *args, **kwargs):
+    def parse_form(self, grammar: "_Grammar", **context):
+        """One form of ``grammar``; ``context`` holds the caller's arguments."""
+        start = self.pos
+        name = self.parse_name()
+        form = grammar.forms.get(name)
+        if form is None:
+            self.fail("unknown %s %r" % (grammar.what, name), start)
+        args = {key: context[key] for key in form.caller}
+        starts = {}
+        self.expect(form.brackets[:1])
+        for field in form.fields:
+            if field.optional and not self.text.startswith(field.sep, self.pos):
+                continue
+            self.expect(field.sep)
+            self.expect(field.key)
+            starts[field.attr] = self.pos
+            args[field.attr] = self.parse_value(field.kind)
+        self.expect(form.brackets[1:])
         try:
-            return builder(*args, **kwargs)
+            return form.cls(**args)
         except ValueError as exc:
-            self.fail(str(exc), start)
+            self.fail(str(exc), starts.get(form.caret, start))
 
-    def parse_function(self, schur: bool = True):
-        start = self.pos
-        name = self.parse_name()
-        if name == "blaschke":
-            self.expect("[")
-            zeros = [self.parse_complex()]
-            while self.match(","):
-                zeros.append(self.parse_complex())
-            constant = 1.0 + 0.0j
-            if self.match(";"):
-                self.expect("c=")
-                constant = self.parse_complex()
-            self.expect("]")
-            return self._construct(
-                start, fn.BlaschkeProduct, tuple(zeros), constant
-            )
-        if name == "atomic":
-            self.expect("[")
-            self.expect("sigma=")
-            sigma = self.parse_real()
-            self.expect(",")
-            self.expect("xi=")
-            xi = self.parse_complex()
-            self.expect("]")
-            return self._construct(start, fn.AtomicSingularInner, sigma, xi)
-        if name == "poly":
-            self.expect("[")
-            coeffs = [self.parse_complex()]
-            while self.match(","):
-                coeffs.append(self.parse_complex())
-            self.expect("]")
-            return self._construct(start, fn.TaylorPolynomial, tuple(coeffs), schur)
-        if name == "const":
-            self.expect("[")
-            value = self.parse_complex()
-            self.expect("]")
-            return self._construct(start, fn.ConstantFunction, value, schur)
-        self.fail("unknown function %r" % name, start)
+    def parse_value(self, kind: "_Kind"):
+        values = [self.parse_item(kind)]
+        while kind.many and self.match(","):
+            values.append(self.parse_item(kind))
+        return tuple(values) if kind.many else values[0]
 
-    def parse_kernel(self):
+    def parse_item(self, kind: "_Kind"):
         start = self.pos
-        name = self.parse_name()
-        if name == "szego":
-            return kx.Szego()
-        if name == "bergman":
-            self.expect("[")
-            self.expect("alpha=")
-            alpha = self.parse_real()
-            self.expect("]")
-            return self._construct(start, kx.WeightedBergman, alpha)
-        if name == "dbr":
-            self.expect("[")
-            self.expect("b=")
-            b = self.parse_function()
-            self.expect("]")
-            return kx.DBR(b)
-        if name == "subbergman":
-            self.expect("[")
-            self.expect("b=")
-            b = self.parse_function()
-            self.expect(",")
-            self.expect("alpha=")
-            alpha = self.parse_real()
-            self.expect("]")
-            return self._construct(start, kx.SubBergman, b, alpha)
-        if name in _BINARY:
-            self.expect("(")
-            left = self.parse_kernel()
-            self.expect(",")
-            right = self.parse_kernel()
-            self.expect(")")
-            return _BINARY[name](left, right)
-        if name == "scale":
-            self.expect("(")
-            pos_factor = self.pos
-            factor = self.parse_real()
-            self.expect(",")
-            operand = self.parse_kernel()
-            self.expect(")")
-            return self._construct(pos_factor, kx.Scale, factor, operand)
-        if name == "cscale":
-            self.expect("(")
-            func = self.parse_function()
-            self.expect(",")
-            operand = self.parse_kernel()
-            self.expect(")")
-            return kx.ConjugateScale(func, operand)
-        self.fail("unknown kernel %r" % name, start)
+        value = kind.read(self)
+        if kind.unit and not 0.0 < value < 1.0:
+            self.fail(kind.unit, start)
+        return value
 
-    def parse_grid(self, default_seed: int = 0):
-        start = self.pos
-        name = self.parse_name()
-        if name == "radial":
-            self.expect("[")
-            radii = []
-            while True:
-                pos_r = self.pos
-                r = self.parse_real()
-                if not 0.0 < r < 1.0:
-                    self.fail("grid radius must lie in (0, 1)", pos_r)
-                radii.append(r)
-                if not self.match(","):
-                    break
-            self.expect(";")
-            self.expect("angles=")
-            angles = self.parse_int()
-            self.expect("]")
-            return self._construct(start, kx.RadialGrid, tuple(radii), angles)
-        if name == "random":
-            self.expect("[")
-            self.expect("n=")
-            count = self.parse_int()
-            self.expect(",")
-            self.expect("rmax=")
-            pos_r = self.pos
-            rmax = self.parse_real()
-            if not 0.0 < rmax < 1.0:
-                self.fail("rmax must lie in (0, 1)", pos_r)
-            seed = default_seed
-            if self.match(","):
-                self.expect("seed=")
-                seed = self.parse_int()
-            self.expect("]")
-            return self._construct(start, kx.RandomGrid, count, rmax, seed)
-        self.fail("unknown grid %r" % name, start)
+
+class _Kind(NamedTuple):
+    """How one field value reads and prints.
+
+    ``many`` values form a comma-separated list. A ``unit`` value must lie
+    in (0, 1); otherwise ``unit`` is the message, with the caret at the number.
+    """
+
+    read: Callable
+    show: Callable
+    many: bool = False
+    unit: str = ""
+
+
+class _Field(NamedTuple):
+    """``sep`` and ``key`` precede a value that becomes argument ``attr``.
+
+    An ``optional`` field may be left out along with its separator; the
+    caller's value or the class default then applies.
+    """
+
+    sep: str
+    key: str
+    kind: _Kind
+    attr: str
+    optional: bool = False
+
+
+class _Form(NamedTuple):
+    """A spec form: ``name``, then ``fields`` inside ``brackets`` (or none).
+
+    ``caller`` names constructor arguments taken from the caller, not the
+    text. A construction error points at field ``caret``, else at the name.
+    """
+
+    name: str
+    cls: type
+    brackets: str
+    fields: tuple
+    caller: tuple = ()
+    caret: str = ""
+
+
+class _Grammar:
+    """The forms of one spec kind, by name for parsing and by class for text."""
+
+    def __init__(self, what: str, *forms: _Form):
+        self.what = what
+        self.forms = {form.name: form for form in forms}
+        self.by_class = {form.cls: form for form in forms}
+
+
+_REAL = _Kind(_Parser.parse_real, fmt_real)
+_INT = _Kind(_Parser.parse_int, fmt_int)
+_COMPLEX = _Kind(_Parser.parse_complex, fmt_complex)
+_COMPLEXES = _COMPLEX._replace(many=True)
+_RADII = _REAL._replace(many=True, unit="grid radius must lie in (0, 1)")
+_RMAX = _REAL._replace(unit="rmax must lie in (0, 1)")
+# A symbol inside a kernel is always checked to be a Schur function.
+_FUNCTION = _Kind(
+    lambda p: p.parse_form(_FUNCTIONS, unit_ball_check=True),
+    lambda f: format_function(f),
+)
+_KERNEL = _Kind(lambda p: p.parse_form(_KERNELS), lambda k: format_kernel(k))
+_OPERANDS = (_Field("", "", _KERNEL, "left"), _Field(",", "", _KERNEL, "right"))
+
+_FUNCTIONS = _Grammar(
+    "function",
+    _Form("blaschke", fn.BlaschkeProduct, "[]", (
+        _Field("", "", _COMPLEXES, "zeros"),
+        _Field(";", "c=", _COMPLEX, "unimodular_constant", optional=True))),
+    _Form("atomic", fn.AtomicSingularInner, "[]", (
+        _Field("", "sigma=", _REAL, "mass"),
+        _Field(",", "xi=", _COMPLEX, "boundary_atom"))),
+    _Form("poly", fn.TaylorPolynomial, "[]", (
+        _Field("", "", _COMPLEXES, "coefficients"),), caller=("unit_ball_check",)),
+    _Form("const", fn.ConstantFunction, "[]", (
+        _Field("", "", _COMPLEX, "value"),), caller=("unit_ball_check",)),
+)
+
+_KERNELS = _Grammar(
+    "kernel",
+    _Form("szego", kx.Szego, "", ()),
+    _Form("bergman", kx.WeightedBergman, "[]", (_Field("", "alpha=", _REAL, "alpha"),)),
+    _Form("dbr", kx.DBR, "[]", (_Field("", "b=", _FUNCTION, "b"),)),
+    _Form("subbergman", kx.SubBergman, "[]", (
+        _Field("", "b=", _FUNCTION, "b"), _Field(",", "alpha=", _REAL, "alpha"))),
+    _Form("sum", kx.Sum, "()", _OPERANDS),
+    _Form("schur", kx.SchurProduct, "()", _OPERANDS),
+    _Form("scale", kx.Scale, "()", (
+        _Field("", "", _REAL, "factor"), _Field(",", "", _KERNEL, "operand")),
+        caret="factor"),
+    _Form("diff", kx.Difference, "()", _OPERANDS),
+    _Form("cscale", kx.ConjugateScale, "()", (
+        _Field("", "", _FUNCTION, "func"), _Field(",", "", _KERNEL, "operand"))),
+)
+
+_GRIDS = _Grammar(
+    "grid",
+    _Form("radial", kx.RadialGrid, "[]", (
+        _Field("", "", _RADII, "radii"), _Field(";", "angles=", _INT, "angles"))),
+    _Form("random", kx.RandomGrid, "[]", (
+        _Field("", "n=", _INT, "count"),
+        _Field(",", "rmax=", _RMAX, "rmax"),
+        _Field(",", "seed=", _INT, "seed", optional=True)), caller=("seed",)),
+)
+
+
+def _parse(text: str, grammar: _Grammar, **context):
+    parser = _Parser(text)
+    out = parser.parse_form(grammar, **context)
+    parser.expect_end()
+    return out
+
+
+def _format(grammar: _Grammar, obj) -> str:
+    form = grammar.by_class.get(type(obj))
+    if form is None:
+        raise TypeError("cannot format %r as a %s spec" % (obj, grammar.what))
+    parts = [form.name, form.brackets[:1]]
+    for field in form.fields:
+        value = getattr(obj, field.attr)
+        values = value if field.kind.many else (value,)
+        parts += [field.sep, field.key, ",".join(map(field.kind.show, values))]
+    return "".join(parts) + form.brackets[1:]
 
 
 def parse_function(text: str, schur: bool = True):
@@ -260,72 +294,27 @@ def parse_function(text: str, schur: bool = True):
     Blaschke products and atomic inner functions are Schur functions either
     way; ``poly`` and ``const`` then admit any finite coefficients.
     """
-    parser = _Parser(text)
-    out = parser.parse_function(schur)
-    parser.expect_end()
-    return out
+    return _parse(text, _FUNCTIONS, unit_ball_check=schur)
 
 
 def parse_kernel(text: str):
-    parser = _Parser(text)
-    out = parser.parse_kernel()
-    parser.expect_end()
-    return out
+    return _parse(text, _KERNELS)
 
 
 def parse_grid(text: str, default_seed: int = 0):
-    parser = _Parser(text)
-    out = parser.parse_grid(default_seed=default_seed)
-    parser.expect_end()
-    return out
+    return _parse(text, _GRIDS, seed=default_seed)
 
 
 def format_function(f) -> str:
-    if isinstance(f, fn.BlaschkeProduct):
-        zeros = ",".join(fmt_complex(a) for a in f.zeros)
-        return "blaschke[%s;c=%s]" % (zeros, fmt_complex(f.unimodular_constant))
-    if isinstance(f, fn.AtomicSingularInner):
-        return "atomic[sigma=%s,xi=%s]" % (
-            fmt_real(f.mass),
-            fmt_complex(f.boundary_atom),
-        )
-    if isinstance(f, fn.TaylorPolynomial):
-        return "poly[%s]" % ",".join(fmt_complex(c) for c in f.coefficients)
-    if isinstance(f, fn.ConstantFunction):
-        return "const[%s]" % fmt_complex(f.value)
-    raise TypeError("cannot format %r as a function spec" % (f,))
+    return _format(_FUNCTIONS, f)
 
 
 def format_kernel(kernel) -> str:
-    if isinstance(kernel, kx.Szego):
-        return "szego"
-    if isinstance(kernel, kx.WeightedBergman):
-        return "bergman[alpha=%s]" % fmt_real(kernel.alpha)
-    if isinstance(kernel, kx.DBR):
-        return "dbr[b=%s]" % format_function(kernel.b)
-    if isinstance(kernel, kx.SubBergman):
-        return "subbergman[b=%s,alpha=%s]" % (
-            format_function(kernel.b),
-            fmt_real(kernel.alpha),
-        )
-    for name, node in _BINARY.items():
-        if isinstance(kernel, node):
-            left, right = format_kernel(kernel.left), format_kernel(kernel.right)
-            return "%s(%s,%s)" % (name, left, right)
-    if isinstance(kernel, kx.Scale):
-        return "scale(%s,%s)" % (fmt_real(kernel.factor), format_kernel(kernel.operand))
-    if isinstance(kernel, kx.ConjugateScale):
-        return "cscale(%s,%s)" % (
-            format_function(kernel.func),
-            format_kernel(kernel.operand),
-        )
-    raise TypeError("cannot format %r as a kernel spec" % (kernel,))
+    return _format(_KERNELS, kernel)
 
 
 def format_grid(spec) -> str:
-    if isinstance(spec, (kx.RadialGrid, kx.RandomGrid)):
-        return spec.canonical()
-    raise TypeError("cannot format %r as a grid spec" % (spec,))
+    return _format(_GRIDS, spec)
 
 
 def point_set_obj(points: kx.PointSet) -> dict:

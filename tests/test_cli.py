@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import diskkernels
 from diskkernels.cli import main
 
 
@@ -248,11 +250,15 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 
 def test_console_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diskkernels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "diskkernels", "psd", "--kernel", "szego",
          "--grid", "radial[0.5;angles=4]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["is_psd"] is True

@@ -1,5 +1,5 @@
-"""CLI input handling: unwritable output paths, non-Schur test functions and
-the dense-size limit on grids and truncation degrees."""
+"""CLI input handling: unwritable output paths, non-Schur test functions,
+the dense-size limit on grids and truncation degrees, and the --seed flag."""
 
 import json
 import tracemalloc
@@ -8,6 +8,7 @@ import pytest
 
 from diskkernels import kernels
 from diskkernels.cli import main
+from diskkernels.formatting import _fmt_count
 from diskkernels.kernels import (
     MAX_DENSE_BYTES,
     PointSet,
@@ -165,3 +166,63 @@ def test_limit_is_one_module_constant(monkeypatch):
     points = PointSet(tuple(0.05 * k for k in range(11)))
     with pytest.raises(ValueError, match="a Gram matrix of 11 points"):
         gram(Szego(), points)
+
+
+HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ratio", "--b", "poly[0.5]", "--radii", "0.5", "--angles", HUGE),
+        ("--degree", HUGE, "toeplitz", "--b", "poly[0.5]"),
+        ("psd", "--kernel", "szego", "--grid", "random[n=%s,rmax=0.5]" % HUGE),
+    ],
+    ids=["ratio --angles", "toeplitz --degree", "psd random grid"],
+)
+def test_oversized_size_message_is_short(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "1.00e+4000" in err
+    # A caret diagnostic echoes its spec line, which is the input itself.
+    for line in err.splitlines():
+        assert line in argv or len(line.encode()) < 200
+
+
+def test_grid_and_degree_messages_name_huge_sizes_briefly():
+    for build in (
+        lambda: RadialGrid((0.5,), 10**4000),
+        lambda: RandomGrid(10**4000, 0.5, 0),
+        lambda: monomial_norms(0.0, 10**4000),
+    ):
+        with pytest.raises(ValueError, match="complex matrix") as info:
+            build()
+        assert len(str(info.value)) < 200
+
+
+def test_counts_print_in_full_below_ten_to_the_fifteenth():
+    assert _fmt_count(100001) == "100001"
+    assert _fmt_count(10**15 - 1) == "999999999999999"
+    assert _fmt_count(10**15) == "1.00e+15"
+    # Beyond Python's limit on integer digits, which str() would refuse.
+    assert _fmt_count(10**5000) == "1.00e+5000"
+
+
+@pytest.mark.parametrize("grid", ["random[n=4,rmax=0.5]", "radial[0.5;angles=4]"])
+@pytest.mark.parametrize("seed", ["-1", "-" + "9" * 30, "1.5", "x", ""])
+def test_seed_is_checked_when_the_flags_are_read(capsys, grid, seed):
+    call = ("psd", "--kernel", "szego", "--grid", grid)
+    for argv in (("--seed", seed) + call, call + ("--seed", seed)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: argument --seed: must be an integer >= 0, got %r\n" % seed
+
+
+def test_seed_may_have_any_number_of_digits(capsys):
+    seed = "9" * 30
+    grid = "random[n=4,rmax=0.5]"
+    code, out, err = run_cli(capsys, "--seed", seed, "psd", "--kernel", "szego", "--grid", grid)
+    assert code == 0, err
+    assert json.loads(out)["grid"]["spec"] == "random[n=4,rmax=0.5,seed=%s]" % seed
