@@ -29,6 +29,21 @@ def _fmt_count(n: int) -> str:
     return "{:.3g}".format(decimal.Decimal(n))
 
 
+def _fmt_gigabytes(nbytes: int) -> str:
+    """A byte count in gigabytes as ``%.3g`` prints them: ``0.268``, ``1.6e+792``.
+
+    Counts of 10^300 bytes and more are refused sizes beyond float
+    division; they are rounded from the exact integer instead.
+    """
+    nbytes = int(nbytes)
+    if nbytes < 10**300:
+        return "%.3g" % (nbytes / 1e9)
+    import decimal  # only refused sizes get here
+
+    ctx = decimal.Context(prec=3)
+    return "{:g}".format(ctx.scaleb(decimal.Decimal(nbytes), -9).normalize(ctx))
+
+
 def fmt_complex(c: complex) -> str:
     """Canonical complex literal: ``x``, ``yi`` or ``x+yi`` / ``x-yi``."""
     c = complex(c)

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .formatting import _fmt_count
+from .formatting import _fmt_count, _fmt_gigabytes
 
 UNIMODULAR_TOL = 1e-12
 UNIT_BALL_TOL = 1e-10
@@ -421,8 +421,12 @@ def ratio_table(b, radii, angles: int) -> list[float]:
     need = 96 * m  # peak bytes per angle over the symbol classes, before allocating
     if need > kernels.MAX_DENSE_BYTES:
         raise ValueError(
-            "%s angles per circle need about %.3g GB, above the limit of %.3g GB"
-            % (_fmt_count(m), min(need, 1e300) / 1e9, kernels.MAX_DENSE_BYTES / 1e9)
+            "%s angles per circle need about %s GB, above the limit of %s GB"
+            % (
+                _fmt_count(m),
+                _fmt_gigabytes(need),
+                _fmt_gigabytes(kernels.MAX_DENSE_BYTES),
+            )
         )
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     return [float(np.max(ratio_values(b, r * circle))) for r in radii]

@@ -76,10 +76,13 @@ def _as_matrix(G) -> np.ndarray:
     M = G.matrix if is_gram else np.asarray(G, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if is_gram:
+        # A finite max |G_ij| certifies that every entry is finite.
+        if not math.isfinite(G.peak):
+            raise ValueError("matrix has non-finite entries")
+        return M
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    if is_gram:
-        return M
     # Entries near the float limit overflow here; the result is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         asym = float(np.max(np.abs(M - M.conj().T)))
@@ -102,7 +105,7 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     Hermitian R x R blocks, returned as an (A, R, R) stack with the same
     spectrum. The blocks come from the first column of each circulant
     block. They are used only when the Gram is within
-    ||G - C||_F <= 0.1 tol max(1, max|G|) of the block-circulant C rebuilt
+    ||G - C||_F <= 0.1 tol max(1, G.peak) of the block-circulant C rebuilt
     from those columns; by Weyl's inequality no eigenvalue then moves by
     more than that.
     """
@@ -115,19 +118,29 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
         return None
     R, A = len(grid.radii), grid.angles
     G4 = G.matrix.reshape(R, A, R, A)
-    first = G4[:, :, :, 0]
-    lag = (np.arange(A)[:, None] - np.arange(A)[None, :]) % A
-    dev2 = 0.0
-    peak = 0.0
-    for a in range(R):
-        # C[p, b, q] = first[a, (p - q) mod A, b], one block-row at a time.
-        diff = G4[a] - first[a][lag].transpose(0, 2, 1)
-        dev2 += float(np.vdot(diff, diff).real)
-        peak = max(peak, float(np.max(np.abs(G4[a]))))
-    if not math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak):
+    if not math.sqrt(_circulant_dev2(G4)) <= 0.1 * tol * max(1.0, G.peak):
         return None
-    blocks = np.fft.fft(first, axis=1).transpose(1, 0, 2)
+    blocks = np.fft.fft(G4[:, :, :, 0], axis=1).transpose(1, 0, 2)
     return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+
+
+def _circulant_dev2(G4: np.ndarray) -> float:
+    """||G - C||_F^2 for G as an (R, A, R, A) array, summed one radius at a time.
+
+    C is the block-circulant matrix with G's first columns, C[a, p, b, q] =
+    G4[a, (p - q) mod A, b, 0]. Window i of the reversed run first[a, 1:],
+    first[a] holds at j the column at lag (A - 1 - i + j) mod A, so the
+    flipped windows are C as a zero-copy view.
+    """
+    A = G4.shape[1]
+    first = G4[:, :, :, 0]
+    run = np.concatenate((first[:, 1:], first), axis=1)[:, ::-1]
+    C = np.lib.stride_tricks.sliding_window_view(run, A, axis=1)[:, ::-1]
+    dev2 = 0.0
+    for a in range(len(G4)):
+        diff = G4[a] - C[a]
+        dev2 += float(np.vdot(diff, diff).real)
+    return dev2
 
 
 def _verdict(evals: np.ndarray, tol: float) -> PsdVerdict:

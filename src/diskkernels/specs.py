@@ -117,7 +117,7 @@ class _Parser:
         first = self.parse_real()
         if self.match("i"):
             return complex(0.0, first)
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             start = self.pos
             second = self.parse_real()
             if not self.match("i"):

@@ -8,7 +8,7 @@ import pytest
 
 from diskkernels import kernels
 from diskkernels.cli import main
-from diskkernels.formatting import _fmt_count
+from diskkernels.formatting import _fmt_count, _fmt_gigabytes
 from diskkernels.kernels import (
     MAX_DENSE_BYTES,
     PointSet,
@@ -207,6 +207,48 @@ def test_counts_print_in_full_below_ten_to_the_fifteenth():
     assert _fmt_count(10**15) == "1.00e+15"
     # Beyond Python's limit on integer digits, which str() would refuse.
     assert _fmt_count(10**5000) == "1.00e+5000"
+
+
+NINES = "9" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("ratio", "--b", "poly[0.5]", "--radii", "0.5", "--angles", NINES),
+            "1.00e+400 angles per circle need about 9.6e+392 GB, "
+            "above the limit of 0.268 GB",
+        ),
+        (
+            ("toeplitz", "--b", "poly[0.5]", "--degree", NINES),
+            "degree 1.00e+400 needs a 1.00e+400 x 1.00e+400 complex matrix "
+            "(1.6e+792 GB), above the limit of 0.268 GB",
+        ),
+        (
+            ("ratio", "--b", "poly[0.5]", "--radii", "0.5", "--angles", "1000000000"),
+            "1000000000 angles per circle need about 96 GB, "
+            "above the limit of 0.268 GB",
+        ),
+        (
+            ("toeplitz", "--b", "poly[0.5]", "--degree", "100000"),
+            "degree 100000 needs a 100001 x 100001 complex matrix (160 GB), "
+            "above the limit of 0.268 GB",
+        ),
+    ],
+    ids=["ratio huge", "toeplitz huge", "ratio", "toeplitz"],
+)
+def test_refused_sizes_name_the_gigabytes_they_need(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_gigabytes_print_as_percent_g_on_both_sides_of_the_float_range():
+    assert _fmt_gigabytes(268435456) == "0.268"
+    assert _fmt_gigabytes(160004000032) == "160"
+    assert _fmt_gigabytes(10**300 - 1) == _fmt_gigabytes(10**300) == "1e+291"
+    assert _fmt_gigabytes(12345 * 10**400) == "1.23e+395"
+    assert _fmt_gigabytes(16 * 10**8000) == "1.6e+7992"
 
 
 @pytest.mark.parametrize("grid", ["random[n=4,rmax=0.5]", "radial[0.5;angles=4]"])

@@ -1,0 +1,280 @@
+"""Gram assembly in strips, and the angular route's check on a circulant view.
+
+``kernels.gram`` symmetrizes the raw kernel values one strip of rows at a
+time and keeps max |G_ij| as ``GramMatrix.peak``; ``psd._circulant_dev2``
+rebuilds the block-circulant matrix as a strided view. The whole-matrix
+symmetrization and the per-radius deviation loop they replace are kept
+below verbatim as the reference. Every matrix, asymmetry, peak, deviation,
+error message and route choice must be bit-identical to it.
+"""
+
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diskkernels import kernels as kx
+from diskkernels.kernels import (
+    HERMITIAN_TOL,
+    GramMatrix,
+    PointSet,
+    RadialGrid,
+    RandomGrid,
+    gram,
+    sample_grid,
+)
+from diskkernels.psd import DEFAULT_TOL, _angle_blocks, _circulant_dev2, is_psd
+from diskkernels.specs import parse_function, parse_kernel
+
+
+def _reference_gram(kernel, points):
+    """(matrix, asymmetry, peak) of the whole-matrix symmetrization, or its error."""
+    arr = points.array
+    with np.errstate(all="ignore"):
+        raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
+        asym = float(np.max(np.abs(raw - raw.conj().T)))
+        sym = 0.5 * (raw + raw.conj().T)
+        # A non-finite raw entry, or a sum that overflows, leaves sym
+        # non-finite. |x| of a complex entry is finite exactly when both parts
+        # are, and np.max propagates NaN, so one finite peak certifies sym.
+        peak = float(np.max(np.abs(sym)))
+    if not math.isfinite(peak):
+        raise ValueError("kernel evaluation has non-finite entries")
+    scale = max(1.0, peak)
+    if asym > HERMITIAN_TOL * scale:
+        raise ValueError(
+            "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym
+        )
+    return sym, asym, peak
+
+
+def _reference_check(G, tol):
+    """(dev2, routed) of the per-radius loop over the gathered circulant."""
+    grid = G.point_set.spec
+    R, A = len(grid.radii), grid.angles
+    G4 = G.matrix.reshape(R, A, R, A)
+    first = G4[:, :, :, 0]
+    lag = (np.arange(A)[:, None] - np.arange(A)[None, :]) % A
+    dev2 = 0.0
+    peak = 0.0
+    for a in range(R):
+        # C[p, b, q] = first[a, (p - q) mod A, b], one block-row at a time.
+        diff = G4[a] - first[a][lag].transpose(0, 2, 1)
+        dev2 += float(np.vdot(diff, diff).real)
+        peak = max(peak, float(np.max(np.abs(G4[a]))))
+    return dev2, math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _invariant(kernel) -> bool:
+    try:
+        kernel.diagonal_series(0)
+    except ValueError:
+        return False
+    return True
+
+
+KERNELS = [
+    "szego",
+    "bergman[alpha=-1]",
+    "bergman[alpha=0.5]",
+    "dbr[b=blaschke[0,0]]",
+    "dbr[b=blaschke[0.3,-0.5i]]",
+    "subbergman[b=poly[0,0,0.6i],alpha=1]",
+    "subbergman[b=atomic[sigma=1,xi=0.6+0.8i],alpha=0]",
+    "sum(szego,dbr[b=blaschke[0]])",
+    "schur(szego,bergman[alpha=0])",
+    "scale(2.5,subbergman[b=blaschke[0],alpha=0])",
+    "diff(scale(1.9,szego),subbergman[b=blaschke[0,0],alpha=0])",
+    "diff(szego,szego)",
+    "cscale(poly[0,0,0,0.6i],bergman[alpha=0.5])",
+    "cscale(poly[0.2,0.3],szego)",
+]
+
+# (radii, angles) with R * A = n for each size.
+RADIAL = {
+    1: (1, 1),
+    2: (1, 2),
+    63: (7, 9),
+    64: (4, 16),
+    65: (5, 13),
+    129: (3, 43),
+    160: (5, 32),
+    481: (13, 37),
+}
+
+
+def _radii(R):
+    return tuple(float(r) for r in np.linspace(0.1, 0.92, R + 2)[1:-1])
+
+
+def _point_sets():
+    for n, (R, A) in RADIAL.items():
+        radial = sample_grid(RadialGrid(_radii(R), A))
+        yield "radial-%d" % n, radial
+        yield "random-%d" % n, sample_grid(RandomGrid(n, 0.9, n))
+        # The same points without a spec: the dense route, whatever the kernel.
+        yield "explicit-%d" % n, PointSet(radial.points)
+
+
+POINT_SETS = dict(_point_sets())
+
+
+def _check_against_reference(kernel, points):
+    try:
+        expected = _reference_gram(kernel, points)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            gram(kernel, points)
+        assert str(info.value) == str(exc)
+        return None
+    G = gram(kernel, points)
+    matrix, asym, peak = expected
+    assert G.matrix.tobytes() == matrix.tobytes()
+    assert _bits(G.asymmetry) == _bits(asym)
+    assert _bits(G.peak) == _bits(peak)
+    return G
+
+
+def _check_route(G, tol):
+    blocks = _angle_blocks(G, tol)
+    spec = G.point_set.spec
+    if not (isinstance(spec, RadialGrid) and _invariant(G.kernel)):
+        assert blocks is None
+        return
+    R, A = len(spec.radii), spec.angles
+    dev2, routed = _reference_check(G, tol)
+    ours = _circulant_dev2(G.matrix.reshape(R, A, R, A))
+    assert _bits(ours) == _bits(dev2) or (math.isnan(ours) and math.isnan(dev2))
+    assert (blocks is not None) == routed
+
+
+@pytest.mark.parametrize("grid", list(POINT_SETS))
+@pytest.mark.parametrize("text", KERNELS)
+def test_gram_and_route_match_the_reference(text, grid):
+    G = _check_against_reference(parse_kernel(text), POINT_SETS[grid])
+    assert G is not None
+    for tol in (DEFAULT_TOL, 0.0, 1e-3):
+        _check_route(G, tol)
+
+
+def test_every_node_kind_and_both_routes_are_covered():
+    kinds = {type(parse_kernel(t)) for t in KERNELS}
+    nested = {type(parse_kernel(t).left) for t in KERNELS if t.startswith("diff(")}
+    assert set(kx._LEAF_TYPES) | {
+        kx.Sum, kx.SchurProduct, kx.Scale, kx.Difference, kx.ConjugateScale
+    } <= kinds | nested
+    routed = dense = 0
+    for text in KERNELS:
+        G = gram(parse_kernel(text), POINT_SETS["radial-160"])
+        if _angle_blocks(G, DEFAULT_TOL) is None:
+            dense += 1
+        else:
+            routed += 1
+    assert routed >= 8 and dense >= 3
+
+
+class _Planted:
+    """Szego with chosen raw entries replaced, or an asymmetric term added."""
+
+    def __init__(self, entries=(), skew=0.0):
+        self.entries = entries
+        self.skew = skew
+
+    def eval(self, z, w):
+        out = kx.Szego().eval(z, w) + self.skew * np.asarray(z)
+        for (i, j), value in self.entries:
+            out[i, j] = value
+        return out
+
+    def diagonal_series(self, order):
+        return np.ones(order + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 481])
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0, math.inf)],
+)
+def test_non_finite_raw_entries_raise_the_same_error(n, value):
+    points = POINT_SETS["random-%d" % n]
+    for where in {(0, 0), (n - 1, 0), (n // 2, n - 1), (n - 1, n - 1)}:
+        _check_against_reference(_Planted([(where, value)]), points)
+
+
+@pytest.mark.parametrize("n", [2, 64, 65, 481])
+def test_overflow_raises_the_same_error(n):
+    points = POINT_SETS["radial-%d" % n]
+    f = parse_function("poly[1.2e154]", schur=False)
+    assert _check_against_reference(kx.ConjugateScale(f, kx.Szego()), points) is None
+    # Finite raw entries whose sum overflows, and whose difference overflows.
+    for partner in (1.7e308, -1.7e308):
+        planted = _Planted([((0, n - 1), 1.7e308), ((n - 1, 0), partner)])
+        assert np.all(np.isfinite(planted.eval(points.array[:, None], points.array)))
+        assert _check_against_reference(planted, points) is None
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 481])
+@pytest.mark.parametrize("skew", [1e-9, 1e-12, 1e-14])
+def test_asymmetric_eval_raises_or_passes_as_the_reference(n, skew):
+    _check_against_reference(_Planted(skew=skew), POINT_SETS["random-%d" % n])
+    G = _check_against_reference(_Planted(skew=skew), POINT_SETS["radial-%d" % n])
+    if G is not None:
+        for tol in (DEFAULT_TOL, 0.0):
+            _check_route(G, tol)
+
+
+def _direct(G, matrix):
+    return GramMatrix(
+        matrix=matrix, point_set=G.point_set, kernel=G.kernel, asymmetry=0.0
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 160, 481])
+def test_directly_built_grams_compute_their_peak(n):
+    G = gram(parse_kernel("bergman[alpha=0.5]"), POINT_SETS["radial-%d" % n])
+    rng = np.random.default_rng(n)
+    E = rng.normal(size=G.matrix.shape) * 1e-6
+    planted = G.matrix.copy()
+    planted[n // 2, n - 1] = complex(math.nan, 1.0)
+    blown = G.matrix.copy()
+    blown[n - 1, 0] = math.inf
+    # A Hermitian spike whose peak lies in an imaginary part.
+    spiked = G.matrix.copy()
+    spiked[0, n - 1] += 1e3j
+    spiked[n - 1, 0] -= 1e3j
+    for matrix in (G.matrix.copy(), G.matrix + (E + E.T), planted, blown, spiked):
+        D = _direct(G, matrix)
+        with np.errstate(all="ignore"):
+            expected = float(np.max(np.abs(matrix)))
+        assert _bits(D.peak) == _bits(expected) or (
+            math.isnan(D.peak) and math.isnan(expected)
+        )
+        # inf - inf in the deviation warns, here as in the reference.
+        with np.errstate(invalid="ignore"):
+            for tol in (DEFAULT_TOL, 0.0, 1e-3):
+                _check_route(D, tol)
+            if not math.isfinite(expected):
+                with pytest.raises(ValueError, match="non-finite"):
+                    is_psd(D)
+    # gram() fills the peak in its pass; a direct build recomputes the same bits.
+    assert _bits(_direct(G, G.matrix.copy()).peak) == _bits(G.peak)
+
+
+def test_gram_holds_about_two_matrices_at_its_peak():
+    n = 800
+    points = sample_grid(RandomGrid(n, 0.9, 5))
+    points.array  # cached before tracing
+    tracemalloc.start()
+    try:
+        gram(kx.Szego(), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The raw values and the symmetrized matrix, plus a few strips of rows.
+    assert peak <= 2.25 * 16 * n * n

@@ -3,11 +3,12 @@
 One walker parses from the rows and one formats from them. The parser and
 formatters below are the per-form branches and ``isinstance`` ladders that
 ``specs`` used before, kept verbatim as the reference; the grid ladder
-inlines the ``canonical()`` methods the grid classes had then. On a seeded
-corpus of valid specs and of character edits to them, both sides must give
-an equal object with equal canonical text, the same caret diagnostic, or
-the same exception type and message.
-"""
+inlines the ``canonical()`` methods the grid classes had then. One edit is
+mended in both: ``parse_complex`` reads a sign only when one is there, since
+``peek()`` returns "" at the end of the text and ``"" in "+-"`` holds. On a
+seeded corpus of valid specs and of character edits to them, both sides must
+give an equal object with equal canonical text, the same caret diagnostic,
+or the same exception type and message."""
 
 import math
 import random
@@ -92,7 +93,7 @@ class _Parser:
         first = self.parse_real()
         if self.match("i"):
             return complex(0.0, first)
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             start = self.pos
             second = self.parse_real()
             if not self.match("i"):

@@ -137,6 +137,15 @@ def test_unterminated_bracket_reports_expected_number():
     assert "expected" in diag
 
 
+@pytest.mark.parametrize(
+    "text", ["const[0.5", "blaschke[0.5", "atomic[sigma=1,xi=1", "blaschke[0.3,0.5i"]
+)
+def test_spec_cut_short_after_a_number_asks_for_the_bracket(text):
+    # At the end of the text there is no sign, so no imaginary part is read.
+    diag = diagnostic_for(parse_function, text)
+    assert diag == "%s\n%s^\nexpected ']'" % (text, " " * len(text))
+
+
 def test_trailing_garbage_rejected():
     diag = diagnostic_for(parse_kernel, "szego extra")
     assert "trailing" in diag
