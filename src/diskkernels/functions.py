@@ -184,7 +184,7 @@ class AtomicSingularInner:
         z = np.asarray(z, dtype=complex)
         xi = self.boundary_atom
         gap = np.abs(xi - z)
-        if np.min(gap) < ATOM_GUARD:
+        if np.min(gap, initial=np.inf) < ATOM_GUARD:
             raise UnitDiskError(
                 "evaluation within %g of the boundary atom is refused" % ATOM_GUARD
             )
@@ -273,7 +273,7 @@ class TaylorPolynomial:
     def eval(self, z):
         vals = self._raw_eval(z)
         if self.unit_ball_check:
-            worst = np.max(np.abs(vals))
+            worst = np.max(np.abs(vals), initial=0.0)
             if worst > 1.0 + UNIT_BALL_TOL:
                 raise SchurBoundError(
                     "polynomial exceeds the unit ball at an evaluation point "

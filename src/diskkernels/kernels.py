@@ -25,11 +25,11 @@ from .functions import SchurFunction, UnitDiskError, ensure_finite
 MIN_SEPARATION = 1e-10
 SEPARATION_BLOCK = 256
 HERMITIAN_TOL = 1e-12
-# Rows per strip of the Gram symmetrization; 32, 128 and 256 rows took 2-19 %
-# longer at n = 1600 (2-vCPU Xeon, one thread).
-GRAM_STRIP = 64
+# Entries per strip of Gram assembly, which is at least 64 rows tall, so a
+# grid of up to 256 points is one strip.
+GRAM_STRIP_ENTRIES = 1 << 16
 # Largest dense complex n x n matrix a grid or truncation degree may ask for
-# (n = 4096, 256 MiB); a Gram assembly holds a few such matrices at once.
+# (n = 4096, 256 MiB); a dominance pencil holds a few such matrices at once.
 MAX_DENSE_BYTES = 1 << 28
 
 
@@ -61,7 +61,7 @@ class WeightedBergman:
     def eval(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        return (1.0 - np.conj(w) * z) ** (-(self.alpha + 2.0))
+        return _power(1.0 - np.conj(w) * z, -(self.alpha + 2.0))
 
     def diagonal_series(self, order):
         return weighted_bergman_coefficients(self.alpha, order)
@@ -76,8 +76,7 @@ class DBR:
     def eval(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        bz = self.b.eval(z)
-        bw = self.b.eval(w)
+        bw, bz = _symbol_values(self.b, z, w)
         return (1.0 - np.conj(bw) * bz) / (1.0 - np.conj(w) * z)
 
     def diagonal_series(self, order):
@@ -102,10 +101,9 @@ class SubBergman:
     def eval(self, z, w):
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
-        bz = self.b.eval(z)
-        bw = self.b.eval(w)
-        return (1.0 - np.conj(bw) * bz) * (1.0 - np.conj(w) * z) ** (
-            -(self.alpha + 2.0)
+        bw, bz = _symbol_values(self.b, z, w)
+        return (1.0 - np.conj(bw) * bz) * _power(
+            1.0 - np.conj(w) * z, -(self.alpha + 2.0)
         )
 
     def diagonal_series(self, order):
@@ -185,8 +183,9 @@ class ConjugateScale:
     operand: "KernelExpr"
 
     def eval(self, z, w):
-        fz = self.func.eval(np.asarray(z, dtype=complex))
-        fw = self.func.eval(np.asarray(w, dtype=complex))
+        fw, fz = _symbol_values(
+            self.func, np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        )
         return fz * np.conj(fw) * self.operand.eval(z, w)
 
     def diagonal_series(self, order):
@@ -200,6 +199,35 @@ KernelExpr = Union[
 ]
 
 _LEAF_TYPES = (Szego, WeightedBergman, DBR, SubBergman)
+
+
+def _symbol_values(f, z, w) -> tuple:
+    """(f(w), f(z)), w first.
+
+    The first strip of a Gram assembly has every point in w, so a symbol
+    that refuses a point does it there, with the message it gives on the
+    whole grid.
+    """
+    fw = f.eval(w)
+    return fw, f.eval(z)
+
+
+def _power(base, p: float):
+    """base ** p for complex base with positive real part, as 1 - conj(w) z has.
+
+    An integer p keeps numpy's complex power. Any other p takes the real
+    form |base|^p (cos + i sin)(p arg base), which is about three times
+    faster than complex pow and agrees with it to a few units in the last
+    place.
+    """
+    if p.is_integer():
+        return base ** p
+    mag = np.abs(base) ** p
+    phase = p * np.angle(base)
+    out = np.empty(np.shape(mag), dtype=complex)
+    np.multiply(mag, np.cos(phase), out=out.real)
+    np.multiply(mag, np.sin(phase), out=out.imag)
+    return out
 
 
 def _symbol_monomial(f, role: str) -> tuple:
@@ -389,21 +417,56 @@ def sample_grid(spec: GridSpec) -> PointSet:
         angles = np.exp(2j * np.pi * np.arange(spec.angles) / spec.angles)
         pts = [r * a for r in spec.radii for a in angles]
     elif isinstance(spec, RandomGrid):
-        rng = np.random.default_rng(spec.seed)
-        pts = np.empty(spec.count, dtype=complex)
-        k = 0
-        # Rejection keeps the draw deterministic while honoring the
-        # minimum-separation invariant.
-        while k < spec.count:
-            radius = spec.rmax * np.sqrt(rng.random())
-            angle = 2.0 * np.pi * rng.random()
-            z = complex(radius * np.cos(angle), radius * np.sin(angle))
-            if k == 0 or np.min(np.abs(pts[:k] - z)) >= MIN_SEPARATION:
-                pts[k] = z
-                k += 1
+        pts = _random_points(spec)
     else:
         raise TypeError("not a grid spec: %r" % (spec,))
     return PointSet(tuple(pts), provenance=specs.format_grid(spec), spec=spec)
+
+
+def _random_points(spec: RandomGrid) -> np.ndarray:
+    """The points of a random grid, by rejection on a deterministic stream.
+
+    Each candidate is the next two uniforms u, v of the stream, at radius
+    rmax sqrt(u) and angle 2 pi v, and is kept when it lies at least
+    MIN_SEPARATION from every point kept before it. Candidates are drawn
+    as many at a time as points are missing; the prefix before the first
+    one too close is kept, that one dropped, and the draws after it are
+    checked next.
+    """
+    rng = np.random.default_rng(spec.seed)
+    pts = np.empty(spec.count, dtype=complex)
+    k = m = 0  # pts[:k] are kept; pts[k:k + m] are drawn and not yet checked
+    while k < spec.count:
+        if m == 0:
+            m = spec.count - k
+            u = rng.random((m, 2))
+            radius = spec.rmax * np.sqrt(u[:, 0])
+            angle = 2.0 * np.pi * u[:, 1]
+            pts.real[k:] = radius * np.cos(angle)
+            pts.imag[k:] = radius * np.sin(angle)
+        kept = _separated_prefix(pts, k, m)
+        k += kept
+        m -= kept
+        if m:
+            m -= 1
+            pts[k : k + m] = pts[k + 1 : k + 1 + m]
+    return pts
+
+
+def _separated_prefix(pts: np.ndarray, k: int, m: int) -> int:
+    """How many of pts[k:k + m] lie MIN_SEPARATION or more from every point before them."""
+    # Work arrays for the largest block, reused by every block.
+    diff = np.empty((min(m, SEPARATION_BLOCK), k + m), dtype=complex)
+    dists = np.empty(diff.shape)
+    for s in range(k, k + m, SEPARATION_BLOCK):
+        e = min(s + SEPARATION_BLOCK, k + m)
+        np.subtract(pts[None, :e], pts[s:e, None], out=diff[: e - s, :e])
+        dist = np.abs(diff[: e - s, :e], out=dists[: e - s, :e])
+        dist[:, s:][np.triu_indices(e - s)] = np.inf
+        crowded = np.flatnonzero(np.min(dist, axis=1) < MIN_SEPARATION)
+        if len(crowded):
+            return s + int(crowded[0]) - k
+    return m
 
 
 def default_grid() -> PointSet:
@@ -442,15 +505,53 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
 
     Raises when an entry is not finite, or when the raw evaluation deviates
     from conjugate symmetry by more than 1e-12 relative to the largest entry.
+
+    The kernel is evaluated one strip of rows at a time, and every pair of
+    points once: for rows s:e, X = K(p[s:e], p[s:]) is the diagonal block
+    and the strip right of it, and L = K(p[e:], p[s:e]) the strip below it.
+    While they are in cache, Y* (the diagonal block of X conjugate-transposed,
+    then L*) gives max |X - Y*|, G[s:e, s:] = (X + Y*) * 0.5 and its peak,
+    and G[e:, s:e] = (L + X_off*) * 0.5 with X_off = X right of the block.
+    These are the operands of (raw + raw*) * 0.5 on the whole matrix, so the
+    bits are the same; conjugating the upper strip into the lower one would
+    not do, as it flips the sign of zero imaginary parts. |raw - raw*| and |G|
+    are equal at (i, j) and (j, i), so their maxima are taken on the upper
+    strips only, and collected in an array because Python's max() drops NaN
+    where np.max keeps it: a non-finite entry, or a sum that overflows,
+    leaves the peak non-finite. No n x n matrix but G itself is allocated.
     """
     n = len(points)
     check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
+    rows = max(64, GRAM_STRIP_ENTRIES // n)
+    sym = np.empty((n, n), dtype=complex)
+    starts = range(0, n, rows)
+    asyms = np.empty(len(starts))
+    peaks = np.empty(len(starts))
     # Overflow and invalid operations surface as non-finite entries, which
     # are rejected below, so numpy's warnings about them are not raised.
     with np.errstate(all="ignore"):
-        raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
-        sym, asym, peak = _symmetrize(raw)
+        for k, s in enumerate(starts):
+            e = min(s + rows, n)
+            h = e - s
+            X = np.asarray(kernel.eval(arr[s:e, None], arr[None, s:]), dtype=complex)
+            Yh = np.empty_like(X)
+            np.conjugate(X[:, :h].T, out=Yh[:, :h])
+            if e < n:
+                L = np.asarray(
+                    kernel.eval(arr[e:, None], arr[None, s:e]), dtype=complex
+                )
+                np.conjugate(L.T, out=Yh[:, h:])
+                lower = sym[e:, s:e]
+                np.conjugate(X[:, h:].T, out=lower)
+                np.add(L, lower, out=lower)
+                np.multiply(lower, 0.5, out=lower)
+            upper = sym[s:e, s:]
+            np.add(X, Yh, out=upper)
+            np.multiply(upper, 0.5, out=upper)
+            peaks[k] = np.max(np.abs(upper))
+            asyms[k] = np.max(np.abs(np.subtract(X, Yh, out=Yh)))
+    asym, peak = float(np.max(asyms)), float(np.max(peaks))
     if not math.isfinite(peak):
         raise ValueError("kernel evaluation has non-finite entries")
     scale = max(1.0, peak)
@@ -461,36 +562,3 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     return GramMatrix(
         matrix=sym, point_set=points, kernel=kernel, asymmetry=asym, peak=peak
     )
-
-
-def _symmetrize(raw: np.ndarray) -> tuple:
-    """(sym, asymmetry, peak): sym = (raw + raw*)/2, max |raw - raw*| and max |sym|.
-
-    One pass over GRAM_STRIP rows at a time, while a strip's transposed
-    partner stays in cache. The strip at rows s:e fills sym[s:e, s:] and
-    sym[e:, s:e] with the operations of (raw + raw*) * 0.5 on the whole
-    matrix, operand for operand, so its bits are the same. Conjugating the
-    upper strip into the lower one would not be: it flips the sign of zero
-    imaginary parts. |raw - raw*| and |sym| are equal at (i, j) and (j, i),
-    so their maxima are taken on the upper strips only, and collected in an
-    array because Python's max() drops NaN where np.max keeps it: a
-    non-finite entry, or a sum that overflows, leaves the peak non-finite.
-    """
-    n = raw.shape[0]
-    sym = np.empty((n, n), dtype=complex)
-    starts = range(0, n, GRAM_STRIP)
-    asym = np.empty(len(starts))
-    peak = np.empty(len(starts))
-    for k, s in enumerate(starts):
-        e = min(s + GRAM_STRIP, n)
-        X = raw[s:e, s:]
-        Yh = raw[s:, s:e].T.conj()
-        asym[k] = np.max(np.abs(X - Yh))
-        upper = sym[s:e, s:]
-        np.add(X, Yh, out=upper)
-        np.multiply(upper, 0.5, out=upper)
-        peak[k] = np.max(np.abs(upper))
-        lower = sym[e:, s:e]
-        np.add(raw[e:, s:e], X[:, e - s :].conj().T, out=lower)
-        np.multiply(lower, 0.5, out=lower)
-    return sym, float(np.max(asym)), float(np.max(peak))

@@ -112,6 +112,9 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     grid = G.point_set.spec
     if not isinstance(grid, RadialGrid) or grid.size != G.size:
         return None
+    # A non-finite entry would leave inf - inf in G - C; _as_matrix refuses it.
+    if not math.isfinite(G.peak):
+        return None
     try:
         G.kernel.diagonal_series(0)
     except ValueError:

@@ -212,3 +212,28 @@ def test_ratio_sup_estimate_atomic_grows_toward_boundary():
     assert oracle == pytest.approx(500.25, rel=1e-4)
     got = ratio_sup_estimate(AtomicSingularInner(1.0, 1.0), [0.9, 0.99, 0.999])
     assert got >= oracle * (1.0 - 1e-9)
+
+
+EMPTY_INPUT_SYMBOLS = [
+    BlaschkeProduct((0.3, 0.0)),
+    AtomicSingularInner(1.0, 0.6 + 0.8j),
+    TaylorPolynomial((0.2, 0.3)),
+    TaylorPolynomial((2.0,), unit_ball_check=False),
+    ConstantFunction(0.5j),
+    normalized_zero_kernel(BlaschkeProduct((0.5,))),
+]
+
+
+def test_every_symbol_class_is_covered_for_empty_input():
+    from diskkernels import functions
+
+    classes = set(functions.SchurFunction.__args__) | {functions.NormalizedZeroKernel}
+    assert classes == {type(f) for f in EMPTY_INPUT_SYMBOLS}
+
+
+@pytest.mark.parametrize("f", EMPTY_INPUT_SYMBOLS, ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("shape", [(0,), (0, 1), (1, 0), (0, 5)])
+def test_symbols_accept_empty_input(f, shape):
+    out = np.asarray(f.eval(np.empty(shape, dtype=complex)))
+    assert out.shape == shape
+    assert out.dtype == complex

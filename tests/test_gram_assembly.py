@@ -1,11 +1,12 @@
 """Gram assembly in strips, and the angular route's check on a circulant view.
 
-``kernels.gram`` symmetrizes the raw kernel values one strip of rows at a
-time and keeps max |G_ij| as ``GramMatrix.peak``; ``psd._circulant_dev2``
-rebuilds the block-circulant matrix as a strided view. The whole-matrix
-symmetrization and the per-radius deviation loop they replace are kept
-below verbatim as the reference. Every matrix, asymmetry, peak, deviation,
-error message and route choice must be bit-identical to it.
+``kernels.gram`` evaluates the kernel and symmetrizes it one strip of rows
+at a time, each pair of points once, and keeps max |G_ij| as
+``GramMatrix.peak``; ``psd._circulant_dev2`` rebuilds the block-circulant
+matrix as a strided view. The whole-matrix evaluation and symmetrization
+and the per-radius deviation loop they replace are kept below verbatim as
+the reference. Every matrix, asymmetry, peak, deviation, error message and
+route choice must be bit-identical to it.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from diskkernels import kernels as kx
+from diskkernels.functions import TaylorPolynomial
 from diskkernels.kernels import (
     HERMITIAN_TOL,
     GramMatrix,
@@ -106,6 +108,8 @@ RADIAL = {
     129: (3, 43),
     160: (5, 32),
     481: (13, 37),
+    # 17 strips of 64 rows, the last one a single row.
+    1025: (25, 41),
 }
 
 
@@ -180,23 +184,29 @@ def test_every_node_kind_and_both_routes_are_covered():
 
 
 class _Planted:
-    """Szego with chosen raw entries replaced, or an asymmetric term added."""
+    """Szego with chosen raw entries replaced, or an asymmetric term added.
 
-    def __init__(self, entries=(), skew=0.0):
-        self.entries = entries
+    ``entries`` holds ((i, j), value) by point index. The value is planted
+    at the pair (p_i, p_j) of points, wherever that pair falls in the block
+    ``eval`` is asked for: ``gram`` evaluates strips, not the whole matrix.
+    """
+
+    def __init__(self, points=None, entries=(), skew=0.0):
+        arr = None if points is None else points.array
+        self.entries = [((arr[i], arr[j]), value) for (i, j), value in entries]
         self.skew = skew
 
     def eval(self, z, w):
         out = kx.Szego().eval(z, w) + self.skew * np.asarray(z)
-        for (i, j), value in self.entries:
-            out[i, j] = value
+        for (zi, wj), value in self.entries:
+            out[(z == zi) & (w == wj)] = value
         return out
 
     def diagonal_series(self, order):
         return np.ones(order + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 481])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 481, 1025])
 @pytest.mark.parametrize(
     "value",
     [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0, math.inf)],
@@ -204,22 +214,22 @@ class _Planted:
 def test_non_finite_raw_entries_raise_the_same_error(n, value):
     points = POINT_SETS["random-%d" % n]
     for where in {(0, 0), (n - 1, 0), (n // 2, n - 1), (n - 1, n - 1)}:
-        _check_against_reference(_Planted([(where, value)]), points)
+        _check_against_reference(_Planted(points, [(where, value)]), points)
 
 
-@pytest.mark.parametrize("n", [2, 64, 65, 481])
+@pytest.mark.parametrize("n", [2, 64, 65, 481, 1025])
 def test_overflow_raises_the_same_error(n):
     points = POINT_SETS["radial-%d" % n]
     f = parse_function("poly[1.2e154]", schur=False)
     assert _check_against_reference(kx.ConjugateScale(f, kx.Szego()), points) is None
     # Finite raw entries whose sum overflows, and whose difference overflows.
     for partner in (1.7e308, -1.7e308):
-        planted = _Planted([((0, n - 1), 1.7e308), ((n - 1, 0), partner)])
+        planted = _Planted(points, [((0, n - 1), 1.7e308), ((n - 1, 0), partner)])
         assert np.all(np.isfinite(planted.eval(points.array[:, None], points.array)))
         assert _check_against_reference(planted, points) is None
 
 
-@pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 481])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 481, 1025])
 @pytest.mark.parametrize("skew", [1e-9, 1e-12, 1e-14])
 def test_asymmetric_eval_raises_or_passes_as_the_reference(n, skew):
     _check_against_reference(_Planted(skew=skew), POINT_SETS["random-%d" % n])
@@ -255,18 +265,20 @@ def test_directly_built_grams_compute_their_peak(n):
         assert _bits(D.peak) == _bits(expected) or (
             math.isnan(D.peak) and math.isnan(expected)
         )
-        # inf - inf in the deviation warns, here as in the reference.
+        # inf - inf in the reference deviation warns; the route check in
+        # is_psd skips a matrix whose peak is not finite.
         with np.errstate(invalid="ignore"):
             for tol in (DEFAULT_TOL, 0.0, 1e-3):
                 _check_route(D, tol)
-            if not math.isfinite(expected):
-                with pytest.raises(ValueError, match="non-finite"):
-                    is_psd(D)
+        if not math.isfinite(expected):
+            assert _angle_blocks(D, DEFAULT_TOL) is None
+            with pytest.raises(ValueError, match="non-finite"):
+                is_psd(D)
     # gram() fills the peak in its pass; a direct build recomputes the same bits.
     assert _bits(_direct(G, G.matrix.copy()).peak) == _bits(G.peak)
 
 
-def test_gram_holds_about_two_matrices_at_its_peak():
+def test_gram_holds_about_one_matrix_at_its_peak():
     n = 800
     points = sample_grid(RandomGrid(n, 0.9, 5))
     points.array  # cached before tracing
@@ -276,5 +288,33 @@ def test_gram_holds_about_two_matrices_at_its_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The raw values and the symmetrized matrix, plus a few strips of rows.
-    assert peak <= 2.25 * 16 * n * n
+    # The Gram matrix, plus a few strips of rows of kernel values.
+    assert peak <= 1.5 * 16 * n * n
+
+
+def _leaves_the_ball():
+    """20 z^200: 0.9 at the certification grid's largest radius 64/65, 7.3 at 0.995."""
+    return TaylorPolynomial((0.0,) * 200 + (20.0,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda f: kx.DBR(f),
+        lambda f: kx.SubBergman(f, 1.0),
+        lambda f: kx.ConjugateScale(f, kx.Szego()),
+        lambda f: kx.Sum(kx.Szego(), kx.Scale(2.0, kx.DBR(f))),
+    ],
+)
+def test_a_symbol_leaving_the_ball_raises_the_whole_grid_message(build):
+    # Its largest modulus is at the last point, outside the first strip,
+    # which also holds a point where it leaves the ball by less.
+    arr = POINT_SETS["random-481"].array * 0.9
+    arr[0] = 0.988
+    arr[-1] = 0.995j
+    points = PointSet(arr)
+    assert max(64, kx.GRAM_STRIP_ENTRIES // len(points)) < len(points) - 1
+    kernel = build(_leaves_the_ball())
+    assert _check_against_reference(kernel, points) is None
+    with pytest.raises(ValueError, match=r"modulus 7\.3"):
+        gram(kernel, points)

@@ -220,3 +220,48 @@ def test_sample_grid_keeps_its_spec():
     assert sample_grid(spec).spec == spec
     spec = RandomGrid(6, 0.8, 2)
     assert sample_grid(spec).spec == spec
+
+
+def _reference_random_points(spec):
+    """The scalar rejection loop the vectorized sampler replaced, verbatim."""
+    from diskkernels.kernels import MIN_SEPARATION
+
+    rng = np.random.default_rng(spec.seed)
+    pts = np.empty(spec.count, dtype=complex)
+    k = 0
+    # Rejection keeps the draw deterministic while honoring the
+    # minimum-separation invariant.
+    while k < spec.count:
+        radius = spec.rmax * np.sqrt(rng.random())
+        angle = 2.0 * np.pi * rng.random()
+        z = complex(radius * np.cos(angle), radius * np.sin(angle))
+        if k == 0 or np.min(np.abs(pts[:k] - z)) >= MIN_SEPARATION:
+            pts[k] = z
+            k += 1
+    return pts
+
+
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 600, 1025])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_random_grid_points_match_the_scalar_loop(count, seed):
+    spec = RandomGrid(count, 0.85, seed)
+    expected = _reference_random_points(spec)
+    assert np.asarray(sample_grid(spec).points).tobytes() == expected.tobytes()
+
+
+# Separations at which a few to most of the candidates are too close; the
+# points still cover well under the jamming limit of sequential packing.
+@pytest.mark.parametrize(
+    "count, separation", [(40, 0.08), (150, 0.08), (150, 0.02), (300, 0.02), (300, 0.05)]
+)
+def test_random_grid_rejections_match_the_scalar_loop(count, separation, monkeypatch):
+    from diskkernels import kernels as kx
+
+    monkeypatch.setattr(kx, "MIN_SEPARATION", separation)
+    spec = RandomGrid(count, 0.9, count)
+    expected = _reference_random_points(spec)
+    assert kx._random_points(spec).tobytes() == expected.tobytes()
+    # Rejections happened: the points are not the first count candidates.
+    u = np.random.default_rng(spec.seed).random((count, 2))
+    first = 0.9 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    assert np.max(np.abs(expected - first)) > 0.1
