@@ -55,6 +55,12 @@ def ensure_finite(x: float, name: str) -> float:
     return x
 
 
+def radial_points(radii, angles: int) -> np.ndarray:
+    """r exp(2 pi i k/angles) for each radius r in order, then k = 0..angles - 1."""
+    circle = np.exp(2j * np.pi * np.arange(angles) / angles)
+    return np.outer(radii, circle).ravel()
+
+
 def mobius_factor(a: complex, z):
     """Single Blaschke factor: (a - z)/(1 - conj(a) z), or z when a = 0."""
     if a == 0:
@@ -247,10 +253,7 @@ class TaylorPolynomial:
             raise ValueError("non-finite polynomial coefficient")
         if self.unit_ball_check:
             radii = (np.arange(_CERT_GRID_RADII) + 1.0) / (_CERT_GRID_RADII + 1.0)
-            angles = np.exp(
-                2j * np.pi * np.arange(_CERT_GRID_ANGLES) / _CERT_GRID_ANGLES
-            )
-            pts = np.outer(radii, angles).ravel()
+            pts = radial_points(radii, _CERT_GRID_ANGLES)
             # Huge coefficients overflow to inf or NaN on the grid; np.max
             # propagates NaN, which the negated test then refuses as well.
             with np.errstate(all="ignore"):

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from .formatting import _fmt_count, _fmt_gigabytes
-from .functions import SchurFunction, UnitDiskError, ensure_finite
+from .functions import SchurFunction, UnitDiskError, ensure_finite, radial_points
 
 MIN_SEPARATION = 1e-10
-SEPARATION_BLOCK = 256
 HERMITIAN_TOL = 1e-12
 # Entries per strip of Gram assembly, which is at least 64 rows tall, so a
 # grid of up to 256 points is one strip.
@@ -53,10 +51,7 @@ class WeightedBergman:
     alpha: float
 
     def __post_init__(self):
-        alpha = ensure_finite(self.alpha, "alpha")
-        object.__setattr__(self, "alpha", alpha)
-        if alpha < -1.0:
-            raise ValueError("alpha must be at least -1")
+        object.__setattr__(self, "alpha", ensure_weight_alpha(self.alpha))
 
     def eval(self, z, w):
         z = np.asarray(z, dtype=complex)
@@ -296,6 +291,14 @@ def check_dense_size(n: int, what: str) -> None:
         )
 
 
+def ensure_weight_alpha(alpha) -> float:
+    """Validate a weight parameter: finite and at least -1 (-1 is H^2)."""
+    alpha = ensure_finite(alpha, "alpha")
+    if alpha < -1.0:
+        raise ValueError("alpha must be at least -1")
+    return alpha
+
+
 def weighted_bergman_coefficients(alpha: float, order: int) -> np.ndarray:
     """Diagonal power-series coefficients of (1 - x)^(-(alpha + 2)).
 
@@ -372,6 +375,7 @@ GridSpec = Union[RadialGrid, RandomGrid]
 class PointSet:
     """Ordered distinct points strictly inside the disk, with provenance.
 
+    ``array`` holds the points as one read-only complex array, converted once.
     ``provenance`` is the canonical grid spec string, or "explicit" for
     directly supplied points. ``spec`` is the grid spec the points were
     sampled from, in ``sample_grid`` order; it takes no part in equality.
@@ -380,47 +384,67 @@ class PointSet:
     points: tuple
     provenance: str = "explicit"
     spec: Optional[GridSpec] = field(default=None, compare=False, repr=False)
+    array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        points = tuple(complex(z) for z in self.points)
-        object.__setattr__(self, "points", points)
-        if len(points) == 0:
+        arr = np.array(self.points, dtype=complex)
+        if arr.ndim != 1:
+            raise TypeError("points must be a flat sequence of numbers")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "points", tuple(arr.tolist()))
+        if len(arr) == 0:
             raise ValueError("a point set must be nonempty")
-        arr = np.asarray(points, dtype=complex)
         if not np.max(np.abs(arr)) < 1.0:
             raise UnitDiskError("points must lie strictly inside the unit disk")
-        # Each row block is compared with itself and the points after it,
-        # so the distance matrix never exceeds SEPARATION_BLOCK x n.
-        for start in range(0, len(arr), SEPARATION_BLOCK):
-            rows = arr[start : start + SEPARATION_BLOCK]
-            dist = np.abs(rows[:, None] - arr[None, start:])
-            np.fill_diagonal(dist, np.inf)
-            if np.min(dist) < MIN_SEPARATION:
-                raise ValueError(
-                    "points closer than %g are considered coincident" % MIN_SEPARATION
-                )
+        if _first_crowded(arr) is not None:
+            raise ValueError(
+                "points closer than %g are considered coincident" % MIN_SEPARATION
+            )
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=complex)
-        arr.setflags(write=False)
-        return arr
 
 
 def sample_grid(spec: GridSpec) -> PointSet:
     """Materialize a grid spec into a PointSet (deterministic for a fixed spec)."""
     from . import specs  # imported here because specs imports this module
     if isinstance(spec, RadialGrid):
-        angles = np.exp(2j * np.pi * np.arange(spec.angles) / spec.angles)
-        pts = [r * a for r in spec.radii for a in angles]
+        pts = radial_points(spec.radii, spec.angles)
     elif isinstance(spec, RandomGrid):
         pts = _random_points(spec)
     else:
         raise TypeError("not a grid spec: %r" % (spec,))
-    return PointSet(tuple(pts), provenance=specs.format_grid(spec), spec=spec)
+    return PointSet(pts, provenance=specs.format_grid(spec), spec=spec)
+
+
+def _first_crowded(pts: np.ndarray) -> Optional[int]:
+    """Smallest i with |pts[i] - pts[j]| < MIN_SEPARATION for some j < i, or None.
+
+    The one place that compares pairs of points. Sorted by real part, a pair
+    closer than MIN_SEPARATION is d places apart for some lag d, and its real
+    parts differ by less than MIN_SEPARATION: |fl(re a - re b)| is at most
+    fl|a - b|, the real part of the same difference. On sorted reals the
+    lag-(d + 1) gaps are no smaller than the lag-d ones, so the sweep over
+    d = 1, 2, ... stops at the first lag with no gap that small, and only
+    the pairs with such a gap have their distance computed. That distance
+    is |a - b| with the bits of any other order of the pair. Points spread
+    in real part take a few lags; n points on one vertical line take n.
+    """
+    eps = MIN_SEPARATION  # read per call, so a patched value is honoured
+    order = np.argsort(pts.real, kind="stable")
+    s = pts[order]
+    x = pts.real[order]
+    first = len(s)
+    for d in range(1, len(s)):
+        near = np.flatnonzero(x[d:] - x[:-d] < eps)
+        if len(near) == 0:
+            break
+        close = near[np.abs(s[near + d] - s[near]) < eps]
+        if len(close):
+            later = np.maximum(order[close], order[close + d])
+            first = min(first, int(np.min(later)))
+    return first if first < len(s) else None
 
 
 def _random_points(spec: RandomGrid) -> np.ndarray:
@@ -429,9 +453,9 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
     Each candidate is the next two uniforms u, v of the stream, at radius
     rmax sqrt(u) and angle 2 pi v, and is kept when it lies at least
     MIN_SEPARATION from every point kept before it. Candidates are drawn
-    as many at a time as points are missing; the prefix before the first
-    one too close is kept, that one dropped, and the draws after it are
-    checked next.
+    as many at a time as points are missing; the first one too close to an
+    earlier point is dropped, the draws after it move up, and the rest is
+    checked again.
     """
     rng = np.random.default_rng(spec.seed)
     pts = np.empty(spec.count, dtype=complex)
@@ -444,29 +468,14 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
             angle = 2.0 * np.pi * u[:, 1]
             pts.real[k:] = radius * np.cos(angle)
             pts.imag[k:] = radius * np.sin(angle)
-        kept = _separated_prefix(pts, k, m)
-        k += kept
-        m -= kept
-        if m:
-            m -= 1
+        crowded = _first_crowded(pts[: k + m])
+        if crowded is None:
+            k, m = k + m, 0
+        else:
+            m -= crowded - k + 1
+            k = crowded
             pts[k : k + m] = pts[k + 1 : k + 1 + m]
     return pts
-
-
-def _separated_prefix(pts: np.ndarray, k: int, m: int) -> int:
-    """How many of pts[k:k + m] lie MIN_SEPARATION or more from every point before them."""
-    # Work arrays for the largest block, reused by every block.
-    diff = np.empty((min(m, SEPARATION_BLOCK), k + m), dtype=complex)
-    dists = np.empty(diff.shape)
-    for s in range(k, k + m, SEPARATION_BLOCK):
-        e = min(s + SEPARATION_BLOCK, k + m)
-        np.subtract(pts[None, :e], pts[s:e, None], out=diff[: e - s, :e])
-        dist = np.abs(diff[: e - s, :e], out=dists[: e - s, :e])
-        dist[:, s:][np.triu_indices(e - s)] = np.inf
-        crowded = np.flatnonzero(np.min(dist, axis=1) < MIN_SEPARATION)
-        if len(crowded):
-            return s + int(crowded[0]) - k
-    return m
 
 
 def default_grid() -> PointSet:

@@ -19,11 +19,14 @@ from .formatting import _fmt_count
 from .functions import (
     SchurFunction,
     axis_phases,
-    ensure_finite,
     ensure_in_disk,
     taylor_coefficients,
 )
-from .kernels import check_dense_size, weighted_bergman_coefficients
+from .kernels import (
+    check_dense_size,
+    ensure_weight_alpha,
+    weighted_bergman_coefficients,
+)
 
 CLIP_LIMIT = 1e-8
 RANGE_CUTOFF = 1e-10
@@ -37,9 +40,7 @@ def monomial_norms(alpha: float, degree: int) -> np.ndarray:
     alpha = -1 is the Hardy space (all ones); alpha > -1 uses
     n! Gamma(alpha + 2)/Gamma(n + alpha + 2), evaluated by recurrence.
     """
-    alpha = ensure_finite(alpha, "alpha")
-    if alpha < -1.0:
-        raise ValueError("alpha must be at least -1")
+    alpha = ensure_weight_alpha(alpha)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     check_dense_size(degree + 1, "degree %s" % _fmt_count(degree))
@@ -181,6 +182,8 @@ class DefectOperator:
         f_taylor = np.asarray(f_taylor, dtype=complex)
         if f_taylor.ndim != 1 or len(f_taylor) == 0:
             raise ValueError("expected a nonempty coefficient vector")
+        if not np.all(np.isfinite(f_taylor)):
+            raise ValueError("non-finite Taylor coefficient")
         if len(f_taylor) > self.degree + 1:
             raise ValueError(
                 "coefficient vector of degree %d exceeds truncation degree %d"
@@ -268,6 +271,7 @@ def kernel_section_taylor(
     U times the section of g at conj(omega) w, as in ``defect``, so both are
     built from the real coefficients of g and the same phases U.
     """
+    alpha = ensure_weight_alpha(alpha)
     w = ensure_in_disk(w)
     axis = b.reflection_axis()
     if axis is not None:

@@ -6,6 +6,7 @@ read as a refutation.
 """
 
 import math
+import warnings
 
 import pytest
 
@@ -21,7 +22,10 @@ from diskkernels import (
     WeightedBergman,
     ensure_in_disk,
     default_grid,
+    SpaceWeight,
+    defect,
     eval_kernel,
+    kernel_section_taylor,
     membership_check,
     monomial_norms,
     multiplier_check,
@@ -86,3 +90,31 @@ def test_cli_rejects_non_finite_weight(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: non-finite alpha: nan\n"
+
+
+ALPHA_USERS = {
+    "bergman": lambda a: WeightedBergman(a),
+    "monomial-norms": lambda a: monomial_norms(a, 4),
+    "kernel-section": lambda a: kernel_section_taylor(B, a, 0.3, 6),
+}
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [(NAN, "non-finite alpha"), (INF, "non-finite alpha"), (-3.0, "at least -1")],
+)
+@pytest.mark.parametrize("user", sorted(ALPHA_USERS))
+def test_weight_alpha_is_checked_once_for_every_user(user, alpha, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            ALPHA_USERS[user](alpha)
+
+
+@pytest.mark.parametrize("coeffs", [[NAN, 0.0], [INF], [0.1, complex(0.0, -INF)]])
+def test_range_norm_refuses_non_finite_coefficients(coeffs):
+    D = defect(B, SpaceWeight.for_degree(0.0, 6), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite Taylor coefficient"):
+            D.range_norm(coeffs)
