@@ -74,8 +74,8 @@ def _as_matrix(G) -> np.ndarray:
     """The matrix of G, finite; an ndarray must also be square and Hermitian."""
     is_gram = isinstance(G, GramMatrix)
     M = G.matrix if is_gram else np.asarray(G, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError("expected a nonempty square matrix")
     if is_gram:
         # A finite max |G_ij| certifies that every entry is finite.
         if not math.isfinite(G.peak):
@@ -86,7 +86,7 @@ def _as_matrix(G) -> np.ndarray:
     # Entries near the float limit overflow here; the result is checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         asym = float(np.max(np.abs(M - M.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(M)))) if M.size else 1.0
+        scale = max(1.0, float(np.max(np.abs(M))))
         sym = 0.5 * (M + M.conj().T)
     if asym > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian (deviation %.3g)" % asym)
@@ -210,10 +210,47 @@ def dominance_delta_min(
     the pencil is solved as one R x R pencil per frequency.
     """
     tol = _checked_tol(tol)
-    gram1 = gram(kernel1, points)
-    gram2 = gram(kernel2, points)
-    blocks2 = _angle_blocks(gram2, tol)
-    blocks1 = None if blocks2 is None else _angle_blocks(gram1, tol)
+    return _dominance(gram(kernel1, points), gram(kernel2, points), tol, {})
+
+
+class _SharedGrams:
+    """Dominance between kernels on one grid, each Gram built once.
+
+    The forward and inclusion checks of ``verify.verify_m1`` compare the
+    same two kernels in opposite directions; through one of these they
+    build each Gram once and run each route check once.
+    """
+
+    def __init__(self, points: PointSet, tol: float):
+        self.points = points
+        self.tol = tol
+        self._grams: dict = {}
+        self._routes: dict = {}
+
+    def dominance(self, kernel1: KernelExpr, kernel2: KernelExpr) -> DominanceReport:
+        tol = _checked_tol(self.tol)
+        for kernel in (kernel1, kernel2):
+            if kernel not in self._grams:
+                self._grams[kernel] = gram(kernel, self.points)
+        return _dominance(self._grams[kernel1], self._grams[kernel2], tol, self._routes)
+
+
+def _dominance(
+    gram1: GramMatrix, gram2: GramMatrix, tol: float, routes: dict
+) -> DominanceReport:
+    """The dominance report of two Grams on one grid, for a checked tol.
+
+    ``routes`` maps each Gram already route-checked to its ``_angle_blocks``
+    and gains the ones checked here.
+    """
+
+    def blocks(G: GramMatrix) -> Optional[np.ndarray]:
+        if G not in routes:
+            routes[G] = _angle_blocks(G, tol)
+        return routes[G]
+
+    blocks2 = blocks(gram2)
+    blocks1 = None if blocks2 is None else blocks(gram1)
     if blocks1 is None:
         # Dense route: one n x n pencil, as a stack of one.
         G1, G2 = gram1.matrix[None], gram2.matrix[None]
@@ -225,6 +262,7 @@ def dominance_delta_min(
             "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
             % verdict2.min_eigenvalue
         )
+    points = gram2.point_set
     n = len(points)
     jitter = JITTER_SCALE * float(np.trace(gram2.matrix).real) / n
     try:
@@ -245,9 +283,9 @@ def dominance_delta_min(
         min_eig_at_delta=float(np.min(gap)),
         regularization_jitter=jitter,
         grid=points.provenance,
-        grid_size=len(points),
-        kernel1=kernel1,
-        kernel2=kernel2,
+        grid_size=n,
+        kernel1=gram1.kernel,
+        kernel2=gram2.kernel,
     )
 
 
@@ -276,11 +314,12 @@ def diagonal_positivity_oracle(kernel: KernelExpr, order: int = 128) -> Diagonal
     order is nonnegative. Positivity of the coefficients is equivalent to
     positivity of the kernel, so this oracle is grid-free.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    coeffs = kernel.diagonal_series(int(order))
+    if not (order >= 0 and order % 1 == 0):
+        raise ValueError("order must be a nonnegative integer, got %r" % (order,))
+    order = int(order)
+    coeffs = kernel.diagonal_series(order)
     verdict = bool(np.min(coeffs) >= -ORACLE_TOL)
-    return DiagonalSeries(coefficients=coeffs, nonnegative=verdict, order=int(order))
+    return DiagonalSeries(coefficients=coeffs, nonnegative=verdict, order=order)
 
 
 def _values_on(f, arr: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .functions import BlaschkeProduct, ratio_table
 from .kernels import PointSet, RadialGrid, SubBergman, WeightedBergman, sample_grid
 from .modelspace import pointwise_bound_constant
-from .psd import DEFAULT_TOL, dominance_delta_min
+from .psd import DEFAULT_TOL, _SharedGrams
 from .specs import format_function, point_set_obj
 
 REPORT_TOL = 1e-6
@@ -85,18 +85,20 @@ def verify_inclusion(
     on the grid and passes when it stays within 1e-6 of
     (1 + |b(0)|)/(1 - |b(0)|).
     """
+    return _inclusion(b, alpha, _SharedGrams(points, tol))
+
+
+def _inclusion(b, alpha: float, grams: _SharedGrams) -> TheoremReport:
     b0 = _require_nonconstant(b)
     alpha = float(alpha)
-    report = dominance_delta_min(
-        WeightedBergman(alpha - 1.0), SubBergman(b, alpha), points, tol
-    )
+    report = grams.dominance(WeightedBergman(alpha - 1.0), SubBergman(b, alpha))
     analytic = (1.0 + abs(b0)) / (1.0 - abs(b0))
     verdict = "pass" if report.delta_min <= analytic + REPORT_TOL else "fail"
     return TheoremReport(
         theorem="sub",
         b_spec=format_function(b),
         alpha=alpha,
-        grid=point_set_obj(points),
+        grid=point_set_obj(grams.points),
         analytic_constant=analytic,
         measured=report.delta_min,
         verdict=verdict,
@@ -119,22 +121,24 @@ def verify_equality_forward(
     delta_min(SubBergman(b, alpha) -> WeightedBergman(alpha - 1)) <=
     N * C_grid * (1 + 1e-6).
     """
+    return _forward(b, alpha, _SharedGrams(points, tol))
+
+
+def _forward(b: BlaschkeProduct, alpha: float, grams: _SharedGrams) -> TheoremReport:
     if not isinstance(b, BlaschkeProduct):
         raise TypeError("the forward bound needs a finite Blaschke product")
     _require_nonconstant(b)
     alpha = float(alpha)
     boundary = boundary_ratio_grid()
     c_grid = pointwise_bound_constant(b, boundary)
-    report = dominance_delta_min(
-        SubBergman(b, alpha), WeightedBergman(alpha - 1.0), points, tol
-    )
+    report = grams.dominance(SubBergman(b, alpha), WeightedBergman(alpha - 1.0))
     bound = b.degree * c_grid
     verdict = "pass" if report.delta_min <= bound * (1.0 + REPORT_TOL) else "fail"
     return TheoremReport(
         theorem="sub2-forward",
         b_spec=format_function(b),
         alpha=alpha,
-        grid=point_set_obj(points),
+        grid=point_set_obj(grams.points),
         analytic_constant=bound,
         measured=report.delta_min,
         verdict=verdict,
@@ -207,11 +211,15 @@ def verify_equality(
     Runs the forward bound on ``points`` for a ``BlaschkeProduct`` and the
     converse table on ``radii`` and ``angles`` for any other symbol.
     """
+    return _equality(b, alpha, radii, angles, _SharedGrams(points, tol))
+
+
+def _equality(b, alpha: float, radii: tuple, angles: int, grams: _SharedGrams):
     if not isinstance(b, BlaschkeProduct):
         return verify_equality_converse(b, radii, angles)
-    if points is None:
+    if grams.points is None:
         raise ValueError("the forward bound for a Blaschke symbol needs a grid")
-    return verify_equality_forward(b, alpha, points, tol)
+    return _forward(b, alpha, grams)
 
 
 def verify_m1(
@@ -221,11 +229,13 @@ def verify_m1(
     """Hardy-space special case: inclusion always, equality iff finite Blaschke.
 
     Composes the alpha = 0 inclusion check with ``verify_equality``; passes
-    when both hold.
+    when both hold. For a Blaschke symbol both compare SubBergman(b, 0)
+    with WeightedBergman(-1) on ``points``, and they share the two Grams.
     """
+    grams = _SharedGrams(points, tol)
     # Equality first: a converse table refuses bad radii or angles before any Gram.
-    second = verify_equality(b, 0.0, points, radii, angles, tol)
-    inclusion = verify_inclusion(b, 0.0, points, tol)
+    second = _equality(b, 0.0, radii, angles, grams)
+    inclusion = _inclusion(b, 0.0, grams)
     verdict = "pass" if inclusion.holds and second.holds else "fail"
     return TheoremReport(
         theorem="m1-special-case",

@@ -12,6 +12,11 @@ arithmetic and moves digits at the rounding level; their text must match
 with every number masked, and each number x must agree with the recorded
 y to 1e-12 max(1, |y|), the scale the library's own tolerances use, since
 an eigenvalue at rounding level has no relative digits to keep.
+
+Gram assembly spreads its strips over the CPUs the process may run on, and
+that count must never move output: the cases run a second time in a child
+restricted to one CPU, and every exit code, stdout and stderr must equal
+the first run's byte for byte.
 """
 
 import json
@@ -30,9 +35,12 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Reads a JSON list of argv lists on stdin and writes one JSON list of
-# {"code", "stdout", "stderr"} records, in order, on stdout.
+# {"code", "stdout", "stderr"} records, in order, on stdout. With the
+# argument "one-cpu" it first restricts itself to one CPU.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+if sys.argv[1:] == ["one-cpu"]:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from diskkernels.cli import main
 runs = []
 for argv in json.load(sys.stdin):
@@ -44,13 +52,13 @@ json.dump(runs, sys.__stdout__)
 """
 
 
-def run_pinned(argvs):
+def run_pinned(argvs, *child_args):
     """Run each argv through ``cli.main`` in one child with one BLAS thread."""
     src = str(pathlib.Path(diskkernels.__file__).resolve().parents[1])
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD], input=json.dumps(argvs), env=env,
+        [sys.executable, "-c", _CHILD, *child_args], input=json.dumps(argvs), env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
@@ -94,3 +102,11 @@ def test_masked_comparison_rejects_a_moved_digit():
     assert _numbers_close(text.replace("19544", "19385"), text)
     assert not _numbers_close(text.replace("2.2447807784", "2.2447807794"), text)
     assert not _numbers_close(text.replace("delta_min", "delta_max"), text)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least two CPUs",
+)
+def test_one_cpu_prints_the_same_bytes(runs):
+    assert run_pinned([c["argv"] for c in CASES], "one-cpu") == runs

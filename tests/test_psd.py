@@ -263,3 +263,22 @@ def test_bad_tolerance_is_rejected_before_compute(tol):
     for call in calls:
         with pytest.raises(ValueError, match="tolerance"):
             call()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3,), (2, 3)])
+def test_is_psd_refuses_an_empty_or_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="^expected a nonempty square matrix$"):
+        is_psd(np.zeros(shape))
+
+
+@pytest.mark.parametrize("order", [1.5, -1, -0.5, math.nan, math.inf])
+def test_oracle_refuses_an_order_that_is_not_a_nonnegative_integer(order):
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        diagonal_positivity_oracle(Szego(), order)
+
+
+def test_oracle_takes_an_integral_order_of_any_numeric_type():
+    for order in (3, 3.0, np.int64(3)):
+        series = diagonal_positivity_oracle(Szego(), order)
+        assert series.order == 3 and type(series.order) is int
+        assert len(series.coefficients) == 4

@@ -18,12 +18,15 @@ from diskkernels import (
     gram,
     is_psd,
     normalized_zero_kernel,
+    sample_grid,
     verify_equality_converse,
     verify_equality_forward,
     verify_inclusion,
     verify_m1,
 )
+from diskkernels import psd
 from diskkernels.formatting import canonical_json
+from diskkernels.specs import format_kernel, parse_grid
 
 ATOMIC = AtomicSingularInner(1.0, 1.0)
 REPORT_KEYS = {
@@ -192,3 +195,28 @@ def test_canonical_json_rejects_non_finite_floats():
     for value in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json({"tol": value})
+
+
+@pytest.mark.parametrize(
+    "grid", ["radial[0.3,0.6,0.85;angles=24]", "random[n=90,rmax=0.85,seed=3]"]
+)
+def test_m1_builds_each_gram_once_with_unchanged_output(grid, monkeypatch):
+    points = sample_grid(parse_grid(grid))
+    b = BlaschkeProduct((0.3, 0.5j))
+    separate = [
+        verify_equality_forward(b, 0.0, points).report_dict(),
+        verify_inclusion(b, 0.0, points).report_dict(),
+    ]
+    built, real_gram = [], psd.gram
+
+    def spy(kernel, pts):
+        built.append(format_kernel(kernel))
+        return real_gram(kernel, pts)
+
+    monkeypatch.setattr(psd, "gram", spy)
+    report = verify_m1(b, points)
+    assert built == [format_kernel(SubBergman(b, 0.0)), "bergman[alpha=-1]"]
+    # The shared Grams give the bits of the two checks run on their own.
+    assert canonical_json(report.report_dict()["details"]) == canonical_json(
+        [separate[1], separate[0]]
+    )
