@@ -26,7 +26,7 @@ from .functions import SchurFunction, UnitDiskError, ensure_finite, radial_point
 MIN_SEPARATION = 1e-10
 HERMITIAN_TOL = 1e-12
 # Entries held by the strips of a Gram assembly in flight at once (see
-# ``_strip_rows``); a Gram of no more entries, a grid of up to 256 points,
+# ``_strip_plan``); a Gram of no more entries, a grid of up to 256 points,
 # is one strip.
 GRAM_STRIP_ENTRIES = 1 << 16
 # Largest dense complex n x n matrix a grid or truncation degree may ask for
@@ -533,15 +533,15 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     leaves the peak non-finite. No n x n matrix but G itself is allocated.
 
     Strips are independent: each writes only its own rows and columns of G
-    and its own slot of the maxima. So they are spread over the W CPUs the
-    process may run on (``_gram_workers``), and G, its asymmetry and its
-    peak have the same bits for any W (see ``_run_strips``).
+    and its own slot of the maxima. So they are spread over up to W threads,
+    W the CPUs the process may run on (``_gram_workers``, ``_strip_plan``),
+    and G, its asymmetry and its peak have the same bits for any W (see
+    ``_run_strips``).
     """
     n = len(points)
     check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
-    workers = _gram_workers()
-    rows = _strip_rows(n, workers)
+    rows, threads = _strip_plan(n, _gram_workers())
     sym = np.empty((n, n), dtype=complex)
     starts = range(0, n, rows)
     asyms = np.empty(len(starts))
@@ -567,7 +567,7 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
         peaks[k] = np.max(np.abs(upper))
         asyms[k] = np.max(np.abs(np.subtract(X, Yh, out=Yh)))
 
-    _run_strips(_Strips(strip, len(starts), min(workers, len(starts)) - 1))
+    _run_strips(strip, len(starts), threads)
     asym, peak = float(np.max(asyms)), float(np.max(peaks))
     if not math.isfinite(peak):
         raise ValueError("kernel evaluation has non-finite entries")
@@ -593,149 +593,65 @@ def _gram_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _strip_rows(n: int, workers: int) -> int:
-    """Rows per strip of an n-point Gram assembled by W workers.
+def _strip_plan(n: int, workers: int) -> tuple:
+    """Rows per strip of an n-point Gram, and the threads that assemble it.
 
-    The W strips in flight together hold about GRAM_STRIP_ENTRIES entries
-    and at least 64 rows, so W = 1 gives strips of
-    max(64, GRAM_STRIP_ENTRIES // n) rows, and up to W = 4 the strips in
-    flight hold no more than one strip of W = 1 does. No strip is shorter than 16
-    rows: at n = 1600 one thread takes about as long on strips of 16, 32
-    or 64 rows, and 40 % longer on strips of 8. A Gram of at most
-    GRAM_STRIP_ENTRIES entries is one strip, with nothing to hand off.
+    One thread takes strips of max(64, GRAM_STRIP_ENTRIES // n) rows. T
+    threads split that height between them, so the T strips in flight hold
+    no more entries than one serial strip does, and T is at most W and at
+    most a sixteenth of the serial height: at n = 1600 one thread takes
+    about as long on strips of 16, 32 or 64 rows, and 40 % longer on strips
+    of 8. A Gram of at most GRAM_STRIP_ENTRIES entries is one strip on one
+    thread, with nothing to hand off.
     """
     if n * n <= GRAM_STRIP_ENTRIES:
-        return n
-    return max(16, -(-64 // workers), GRAM_STRIP_ENTRIES // (workers * n))
+        return n, 1
+    serial = max(64, GRAM_STRIP_ENTRIES // n)
+    threads = max(1, min(workers, serial // 16))
+    return serial // threads, threads
 
 
-class _Strips:
-    """The strips of one Gram, handed out in order to whichever thread asks.
+def _run_strips(strip, count: int, threads: int) -> None:
+    """Call ``strip(k)`` for every k < count on ``threads`` threads.
 
-    ``strip(k)`` fills strip k. The calling thread and up to ``helpers``
-    threads of the pool each run ``work`` under their own
+    The calling thread and threads - 1 helpers, started here and joined
+    before returning, each take the next unclaimed strip under their own
     ``np.errstate(all="ignore")`` (error state does not cross threads):
     overflow and invalid operations surface as non-finite entries, which
-    ``gram`` rejects. Once a strip raises, no further strip is handed out,
-    and ``wait`` raises the error of the lowest-numbered failed strip.
-    Strips are claimed in order, so every strip below a failed one has run,
-    and that is the error a serial loop would raise.
+    ``gram`` rejects. With one thread this is the serial loop, and no thread
+    is started. Once a strip raises, no further strip is handed out, and the
+    error of the lowest-numbered failed strip is raised. Strips are claimed
+    in order, so every strip below a failed one has run, and that is the
+    error a serial loop would raise.
     """
+    lock = threading.Lock()
+    unclaimed = iter(range(count))
+    errors: dict = {}
 
-    def __init__(self, strip, count: int, helpers: int):
-        self.strip = strip
-        self.count = count
-        self.helpers = helpers
-        self._lock = threading.Condition()
-        self._next = 0
-        self._running = 0
-        self._errors: dict = {}
-
-    def work(self) -> None:
+    def work() -> None:
         with np.errstate(all="ignore"):
             while True:
-                with self._lock:
-                    if self._next == self.count or self._errors:
-                        return
-                    k = self._next
-                    self._next += 1
-                    self._running += 1
+                with lock:
+                    k = None if errors else next(unclaimed, None)
+                if k is None:
+                    return
                 try:
-                    self.strip(k)
-                except BaseException as exc:  # re-raised by wait()
-                    with self._lock:
-                        self._errors[k] = exc
-                finally:
-                    with self._lock:
-                        self._running -= 1
-                        if not self._running:
-                            self._lock.notify_all()
+                    strip(k)
+                except BaseException as exc:  # re-raised below
+                    with lock:
+                        errors[k] = exc
 
-    def wait(self) -> None:
-        """Wait until no strip is running; raise the lowest strip's error."""
-        with self._lock:
-            while self._running:
-                self._lock.wait()
-        if self._errors:
-            raise self._errors[min(self._errors)]
-
-
-class _StripPool:
-    """Helper threads that take strips alongside the thread assembling a Gram.
-
-    Helper i joins a posted batch when i < its ``helpers`` and returns from
-    it as soon as no strip is left to claim. Threads are started on the
-    first batch that needs them and kept; they are not BLAS threads, and
-    numpy releases the interpreter lock inside the loops they run.
-    """
-
-    def __init__(self):
-        self._ready = threading.Condition()
-        self._threads: list = []
-        self._posted: Optional[_Strips] = None
-        self._serial = 0
-
-    def post(self, strips: _Strips) -> None:
-        with self._ready:
-            while len(self._threads) < strips.helpers:
-                thread = threading.Thread(
-                    target=self._serve, args=(len(self._threads),),
-                    name="diskkernels-gram-%d" % len(self._threads), daemon=True,
-                )
-                try:
-                    thread.start()
-                except RuntimeError:
-                    # No thread to spare: the threads there are do the work.
-                    break
-                self._threads.append(thread)
-            self._posted = strips
-            self._serial += 1
-            self._ready.notify_all()
-
-    def withdraw(self, strips: _Strips) -> None:
-        """Drop the pool's reference to a finished batch and its Gram."""
-        with self._ready:
-            if self._posted is strips:
-                self._posted = None
-
-    def _serve(self, index: int) -> None:
-        seen = 0
-        while True:
-            with self._ready:
-                while self._serial == seen:
-                    self._ready.wait()
-                seen = self._serial
-                strips = self._posted
-            if strips is not None and index < strips.helpers:
-                strips.work()
-            strips = None
-
-
-_POOL = _StripPool()
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's threads.
-    global _POOL
-    _POOL = _StripPool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_strips(strips: _Strips) -> None:
-    """Run every strip on the calling thread and ``strips.helpers`` helpers.
-
-    With no helpers this is the serial loop over the strips, and no thread
-    is started.
-    """
-    pool = _POOL if strips.helpers else None
-    if pool is not None:
-        pool.post(strips)
-    try:
-        strips.work()
-        strips.wait()
-    finally:
-        if pool is not None:
-            pool.withdraw(strips)
+    helpers = []
+    for i in range(threads - 1):
+        helper = threading.Thread(target=work, name="diskkernels-gram-%d" % i, daemon=True)
+        try:
+            helper.start()
+        except RuntimeError:
+            # No thread to spare: the threads there are do the work.
+            break
+        helpers.append(helper)
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]

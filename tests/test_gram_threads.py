@@ -3,8 +3,9 @@
 ``kernels.gram`` hands its strips to the calling thread and W - 1 helper
 threads, W = ``kernels._gram_workers()``. These tests patch W and require
 the bits of the whole-matrix reference of ``test_gram_assembly`` for every
-W, the error a serial loop would raise, no thread at W = 1, no leaked
-warning, a working pool after ``os.fork``, and no new import at startup.
+W, the error a serial loop would raise, no thread at W = 1, no helper
+outliving its Gram, no leaked warning, the in-flight memory budget for
+large W, a working ``gram`` after ``os.fork``, and no new import at startup.
 """
 
 import os
@@ -13,13 +14,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import diskkernels
 from diskkernels import kernels as kx
-from diskkernels.kernels import PointSet, gram
+from diskkernels.kernels import PointSet, RandomGrid, gram, sample_grid
 from diskkernels.psd import DEFAULT_TOL
 from diskkernels.specs import parse_function, parse_kernel
 from test_gram_assembly import (
@@ -50,11 +52,13 @@ def workers(monkeypatch):
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """A pool with no thread yet, in place of the process's own."""
-    pool = kx._StripPool()
-    monkeypatch.setattr(kx, "_POOL", pool)
-    return pool
+def no_thread_start(monkeypatch):
+    """Fail the test if any thread is started."""
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def _run_python(code, *flags):
@@ -69,22 +73,24 @@ def _run_python(code, *flags):
 def test_the_split_sets_include_the_largest():
     assert {"radial-1025", "random-1025", "explicit-1025", "random-481"} <= set(SPLIT)
     for w in WORKERS:
-        assert len(range(0, 1025, kx._strip_rows(1025, w))) > w
+        rows, threads = kx._strip_plan(1025, w)
+        assert threads == min(w, 4) and len(range(0, 1025, rows)) > threads
 
 
-def test_strip_rows_keep_the_serial_schedule_and_the_in_flight_budget():
-    for n in (1, 100, 256, 257, 481, 1025, 1600, 4096):
+def test_the_strips_in_flight_hold_no_more_than_one_serial_strip():
+    for n in (1, 100, 256, 257, 300, 481, 800, 1025, 1600, 4096):
         serial = max(64, kx.GRAM_STRIP_ENTRIES // n)
-        for w in WORKERS + (4, 64):
-            rows = kx._strip_rows(n, w)
+        for w in WORKERS + (4, 8, 64, 1024):
+            rows, threads = kx._strip_plan(n, w)
             if n <= 256:
-                assert rows == n
+                assert (rows, threads) == (n, 1)
             elif w == 1:
-                assert rows == serial
+                assert (rows, threads) == (serial, 1)
             else:
-                # Up to W = 4, W strips in flight hold about one serial strip.
-                assert rows >= 16 and w * rows >= 64
-                assert w > 4 or w * rows < serial + w
+                assert 1 <= threads <= w and rows >= 16
+                assert serial - threads < threads * rows <= serial
+                # Every thread has a strip to take.
+                assert len(range(0, n, rows)) > threads
 
 
 @pytest.mark.parametrize("grid", SPLIT)
@@ -115,42 +121,40 @@ def test_errors_match_the_reference_for_every_worker_count(w, workers):
         _check_against_reference(_Planted(skew=skew), points)
 
 
-def test_one_worker_starts_no_thread(workers, fresh_pool):
+def test_one_worker_starts_no_thread(workers, no_thread_start):
     workers(1)
-    before = threading.active_count()
     G = _check_against_reference(parse_kernel("szego"), POINT_SETS["random-1025"])
     assert G is not None
-    assert fresh_pool._threads == [] and threading.active_count() == before
 
 
-def test_a_one_strip_gram_starts_no_thread(workers, fresh_pool):
+def test_a_one_strip_gram_starts_no_thread(workers, no_thread_start):
     workers(5)
     gram(parse_kernel("szego"), POINT_SETS["radial-160"])
-    assert fresh_pool._threads == []
 
 
-def test_helpers_are_kept_and_reused(workers, fresh_pool):
+def test_no_helper_outlives_its_gram(workers, monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def spy(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
     workers(3)
-    points = POINT_SETS["random-481"]
-    gram(parse_kernel("szego"), points)
-    threads = list(fresh_pool._threads)
-    assert len(threads) == 2 and all(t.is_alive() and t.daemon for t in threads)
-    gram(parse_kernel("szego"), points)
-    assert fresh_pool._threads == threads
-    # A finished Gram is not kept alive by the pool.
-    assert fresh_pool._posted is None
+    before = threading.active_count()
+    gram(parse_kernel("szego"), POINT_SETS["random-481"])
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
 
 
-def test_a_thread_that_cannot_start_leaves_the_work_to_the_others(
-    workers, fresh_pool, monkeypatch
-):
+def test_a_thread_that_cannot_start_leaves_the_work_to_the_others(workers, monkeypatch):
     def refuse(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     workers(3)
     G = _check_against_reference(parse_kernel("szego"), POINT_SETS["random-1025"])
-    assert G is not None and fresh_pool._threads == []
+    assert G is not None
 
 
 class _Recording:
@@ -164,16 +168,34 @@ class _Recording:
         return kx.Szego().eval(z, w)
 
 
-def test_only_w_minus_one_helpers_take_strips(workers, fresh_pool):
-    workers(5)
-    gram(parse_kernel("szego"), POINT_SETS["random-1025"])
-    assert len(fresh_pool._threads) == 4
-    for w in (1, 2, 3):
-        workers(w)
-        kernel = _Recording()
-        for _ in range(5):
-            gram(kernel, POINT_SETS["random-1025"])
-        assert kernel.threads <= {threading.main_thread(), *fresh_pool._threads[: w - 1]}
+@pytest.mark.parametrize("w", [1, 2, 3, 5])
+def test_at_most_w_minus_one_helpers_take_strips(w, workers):
+    workers(w)
+    kernel = _Recording()
+    gram(kernel, POINT_SETS["random-1025"])
+    assert len(kernel.threads) <= min(w, 4)
+
+
+def _gram_peak(points):
+    tracemalloc.start()
+    try:
+        gram(kx.Szego(), points)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("w", [8, 64])
+def test_many_workers_hold_no_more_than_one_worker_at_the_peak(w, workers):
+    # The strips in flight hold no more entries than one serial strip, so
+    # the peak is that of W = 1, whatever W. At n = 1600 a serial strip is
+    # 64 rows, 1.6 MB of kernel values; 64 strips of 16 rows would be 26 MB.
+    points = sample_grid(RandomGrid(1600, 0.9, 5))
+    points.array  # cached before tracing
+    workers(1)
+    serial = _gram_peak(points)
+    workers(w)
+    assert max(_gram_peak(points) for _ in range(3)) <= serial + 2**20
 
 
 class _FailingStrips:
@@ -209,7 +231,7 @@ class _FailingStrips:
 def test_the_lowest_failed_strip_wins_and_stops_the_hand_out(w, workers):
     workers(w)
     points = POINT_SETS["random-1025"]
-    kernel = _FailingStrips(points, kx._strip_rows(len(points), w))
+    kernel = _FailingStrips(points, kx._strip_plan(len(points), w)[0])
     assert len(kernel.starts) > w
     with pytest.raises(ValueError, match="^strip 0: the whole grid$"):
         gram(kernel, points)
@@ -236,17 +258,25 @@ def test_a_symbol_refusing_points_gives_the_whole_grid_message(build, workers):
             gram(kernel, points)
 
 
-def test_a_helper_arriving_after_the_last_claim_returns_at_once():
+def test_a_helper_starting_after_the_last_claim_returns_at_once(monkeypatch):
     ran = []
-    strips = kx._Strips(ran.append, 3, 1)
-    strips.work()
+    start, join = threading.Thread.start, threading.Thread.join
+    helpers = []
+
+    def late_start(self, timeout=None):
+        # The caller has claimed every strip by the time it joins.
+        helpers.append(self)
+        start(self)
+        join(self, timeout)
+
+    monkeypatch.setattr(threading.Thread, "start", lambda self: None)
+    monkeypatch.setattr(threading.Thread, "join", late_start)
+    kx._run_strips(ran.append, 3, 2)
     assert ran == [0, 1, 2]
-    strips.work()
-    strips.wait()
-    assert ran == [0, 1, 2]
+    assert len(helpers) == 1 and not helpers[0].is_alive()
 
 
-def test_concurrent_grams_share_the_pool(workers):
+def test_concurrent_grams(workers):
     """More workers than cores, two callers at once and a short switch
     interval: a lost claim would leave a strip unwritten or written twice."""
     workers(5)
@@ -289,7 +319,8 @@ for kernel in (kx.ConjugateScale(f, kx.Szego()), parse_kernel("bergman[alpha=0.5
         kx.gram(kernel, points)
     except ValueError as exc:
         print(exc)
-print(len(kx._POOL._threads))
+import threading
+print(threading.active_count())
 """
 
 
@@ -297,28 +328,34 @@ def test_no_helper_leaks_a_warning():
     proc = _run_python(WARNINGS_SCRIPT, "-W", "error")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout == "kernel evaluation has non-finite entries\n2\n"
+    assert proc.stdout == "kernel evaluation has non-finite entries\n1\n"
 
 
 FORK_SCRIPT = """
-import os
+import os, threading
 from diskkernels import kernels as kx
 kx._gram_workers = lambda: 2
 points = kx.sample_grid(kx.RandomGrid(600, 0.9, 2))
 expected = kx.gram(kx.Szego(), points).matrix.tobytes()
-assert len(kx._POOL._threads) == 1
+# No helper is left running to be lost in the fork.
+assert threading.active_count() == 1
 pid = os.fork()
 if pid == 0:
+    helpers = []
+    start = threading.Thread.start
+    def spy(self):
+        helpers.append(self)
+        start(self)
+    threading.Thread.start = spy
     ok = kx.gram(kx.Szego(), points).matrix.tobytes() == expected
-    alive = [t.is_alive() for t in kx._POOL._threads]
-    os._exit(0 if ok and alive == [True] else 1)
+    os._exit(0 if ok and len(helpers) == 1 else 1)
 _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_builds_its_own_pool():
+def test_a_forked_child_assembles_its_own_gram_with_a_helper():
     proc = _run_python(FORK_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"

@@ -86,7 +86,7 @@ def test_blaschke_without_grid_is_refused_before_any_gram(monkeypatch):
         raise AssertionError("computed before refusing")
 
     monkeypatch.setattr(psd, "gram", no_compute)
-    monkeypatch.setattr(psd, "_dominance", no_compute)
+    monkeypatch.setattr(verify, "dominance_delta_min", no_compute)
     monkeypatch.setattr(verify, "pointwise_bound_constant", no_compute)
     with pytest.raises(ValueError, match="needs a grid"):
         verify_equality(BlaschkeProduct((0.5,)), 0.0, None)
