@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,20 +25,54 @@ JITTER_SCALE = 1e-12
 ORACLE_TOL = 1e-12
 REFUTATION_RADII = (0.5, 0.65, 0.8, 0.9, 0.95)
 SOLVE_BLOCK = 64
+FACTOR_BLOCK = 64
+UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PsdVerdict:
     """Outcome of a finite PSD test.
 
-    ``is_psd`` holds exactly when
-    min_eigenvalue >= -tolerance_used * max(1, spectral_norm).
+    ``is_psd`` is certified, or read from the spectrum: see ``is_psd``.
+    ``min_eigenvalue`` is the least eigenvalue and ``spectral_norm`` the
+    largest eigenvalue modulus. Both come from one call of ``spectrum``,
+    made on their first read, so a verdict a certificate decided runs no
+    eigensolver until then; the verdict keeps what ``spectrum`` holds, such
+    as the tested matrix. ``==``, ``hash`` and ``repr`` read them.
     """
 
     is_psd: bool
-    min_eigenvalue: float
     tolerance_used: float
-    spectral_norm: float
+    spectrum: Callable[[], np.ndarray]
+
+    @cached_property
+    def _extremes(self) -> tuple[float, float]:
+        return _least_and_norm(self.spectrum())
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return self._extremes[0]
+
+    @property
+    def spectral_norm(self) -> float:
+        return self._extremes[1]
+
+    def _key(self) -> tuple:
+        return (self.is_psd, self.min_eigenvalue, self.tolerance_used, self.spectral_norm)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PsdVerdict):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            "PsdVerdict(is_psd=%r, min_eigenvalue=%r, tolerance_used=%r, spectral_norm=%r)"
+            % self._key()
+        )
 
 
 @dataclass(frozen=True)
@@ -146,33 +181,172 @@ def _circulant_dev2(G4: np.ndarray) -> float:
     return dev2
 
 
-def _verdict(evals: np.ndarray, tol: float) -> PsdVerdict:
+def _least_and_norm(evals: np.ndarray) -> tuple[float, float]:
+    """The least eigenvalue and the spectral norm."""
     lo = float(np.min(evals))
     spectral = float(max(abs(lo), abs(float(np.max(evals)))))
     # An infinite spectral norm would scale the tolerance to infinity too.
     if not math.isfinite(spectral):
         raise ValueError("eigenvalues overflow the float range")
-    return PsdVerdict(
-        is_psd=bool(lo >= -tol * max(1.0, spectral)),
-        min_eigenvalue=lo,
-        tolerance_used=tol,
-        spectral_norm=spectral,
-    )
+    return lo, spectral
+
+
+def _verdict(evals: np.ndarray, tol: float) -> PsdVerdict:
+    lo, spectral = _least_and_norm(evals)
+    return PsdVerdict(bool(lo >= -tol * max(1.0, spectral)), tol, lambda: evals)
 
 
 def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """Spectral PSD test with a relative tolerance floor.
+    """PSD test with a relative tolerance floor.
 
     Accepts a GramMatrix or a Hermitian ndarray, and a finite tol >= 0.
     Non-finite entries are rejected rather than propagated into an
-    eigensolver. A rotation-invariant kernel's Gram on a radial grid is
-    solved one angular frequency at a time (see ``_angle_blocks``).
+    eigensolver. The rule is min_eigenvalue >= -t, t = tol * max(1, rho)
+    with rho the spectral norm.
+
+    A rotation-invariant kernel's Gram on a radial grid is solved one
+    angular frequency at a time (see ``_angle_blocks``) and the rule is
+    read from its spectrum. Any other matrix is first tried by the
+    certificates of ``_certificate``: a diagonal entry below
+    -(2 tol max(1, ||G||_F) + c) refutes, and a Cholesky of G + (s - c) I
+    that completes passes, with s <= t/2 and c its rounding bound. Only
+    when neither decides is the rule read from the spectrum; a certified
+    verdict computes its spectrum when ``min_eigenvalue`` or
+    ``spectral_norm`` is first read, by the same ``eigvalsh`` call on the
+    same matrix.
     """
     tol = _checked_tol(tol)
     blocks = _angle_blocks(G, tol) if isinstance(G, GramMatrix) else None
     if blocks is not None:
         return _verdict(np.linalg.eigvalsh(blocks), tol)
-    return _verdict(np.linalg.eigvalsh(_as_matrix(G)), tol)
+    M = _as_matrix(G)
+    decided = _certificate(M, tol, G.peak if isinstance(G, GramMatrix) else 0.0)
+    if decided is None:
+        return _verdict(np.linalg.eigvalsh(M), tol)
+    return PsdVerdict(decided, tol, lambda: np.linalg.eigvalsh(M))
+
+
+def _cholesky_slack(diag: np.ndarray, shift: float) -> float:
+    """c with lambda_min(H) >= -shift - c once a Cholesky of fl(H + shift I) completes.
+
+    ``diag`` is the real diagonal of a Hermitian H of order n, or the
+    diagonals of a stack of them (the largest c is returned); shift >= 0.
+    This is Rump's shift bound ("Verification of positive definiteness",
+    BIT 46, 2006), in complex arithmetic. Let A = fl(H + shift I) and L the
+    computed factor. Each real and imaginary part of an entry of L L* - A
+    is the error of one real recurrence: at most 2n - 2 real products
+    subtracted from a_ij, then a division by the pivot (two roundings when
+    its reciprocal is multiplied) or a square root. So in any order of
+    evaluation, blocked or not, |L L* - A| <= sqrt(2) g |L| |L*| entrywise
+    with g = gamma_{2n+4} = (2n+4)u / (1 - (2n+4)u), u = 2^-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3, and §3.6
+    for complex numbers; sqrt(2) joins the real and imaginary bounds). Then ||L L* - A||_2 <= sqrt(2) g
+    ||L||_F^2 <= sqrt(2) g / (1 - sqrt(2) g) tr A, and L L* >= 0 gives
+    lambda_min(A) >= -sqrt(2) g / (1 - sqrt(2) g) tr A. A = H + shift I + E
+    with |E_ii| <= u |h_ii + shift| and tr A <= (1 + u)(sum |h_ii| + n shift).
+    Gradual underflow adds at most eta = 2^-1074 to a product or quotient;
+    moved onto an entry of L L* - A it grows by at most a pivot, itself at
+    most 1 + max a_ii, so an entry gains at most (2n + 8)(1 + max a_ii) eta
+    and the matrix n times that in norm. So c = 1.5 g (sum |h_ii| + n shift)
+    + 2 u (max |h_ii| + shift) + n (2n + 8)(1 + max |h_ii| + shift) eta:
+    1.5 > sqrt(2) (1 + u) / (1 - sqrt(2) g), and the second u covers the
+    rounding of shift - c and of this evaluation. c is inf when a sum
+    overflows.
+    """
+    n = diag.shape[-1]
+    g = (2 * n + 4) * UNIT_ROUNDOFF / (1.0 - (2 * n + 4) * UNIT_ROUNDOFF)
+    size = np.abs(diag)
+    with np.errstate(over="ignore"):
+        top = np.max(size, axis=-1) + shift
+        c = (
+            1.5 * g * (np.sum(size, axis=-1) + n * shift)
+            + 2.0 * UNIT_ROUNDOFF * top
+            + n * (2 * n + 8) * (1.0 + top) * math.ulp(0.0)
+        )
+    return float(np.max(c))
+
+
+def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
+    """The PSD verdict on Hermitian M when a certificate settles it, else None.
+
+    With rho the spectral norm and t = tol * max(1, rho), the verdict is
+    min_eigenvalue >= -t.
+
+    - Refuted when some M_ii < -(2 tol max(1, rho_hi) + c). M_ii is a
+      Rayleigh quotient, so lambda_min <= M_ii < -2t - c. rho_hi, the
+      Frobenius norm, is at least rho; ``np.vdot`` takes it with no n x n
+      temporary.
+    - PSD when a Cholesky of M + (s - c) I completes with a finite
+      diagonal (``_cholesky_in_place``), c = ``_cholesky_slack(diag, s)``:
+      then lambda_min >= -s. s = tol max(1, rho_lo) / 2 <= t/2 with
+      rho_lo = max(peak, max |M_ii|, tr M / n) <= rho, since |M_ij| and
+      the mean eigenvalue are at most rho; ``peak`` is max |M_ij| or 0.
+      It is tried only when s > c, so never at tol = 0.
+
+    Either certificate leaves a margin of t/2 or more, so the rule read
+    from ``eigvalsh`` decides the same way unless that solver errs by more
+    than t/2. At tol = 0 only a refutation, by a diagonal below -c, decides.
+    """
+    n = len(M)
+    diag = M.diagonal().real
+    # A sum that overflows leaves rho_lo, c or rho_hi infinite; they are checked.
+    with np.errstate(over="ignore"):
+        rho_lo = max(1.0, peak, float(np.max(np.abs(diag))), float(np.sum(diag)) / n)
+        shift = 0.5 * tol * rho_lo
+        slack = _cholesky_slack(diag, shift)
+        lowest = float(np.min(diag))
+        if lowest < -slack:
+            rho_hi = math.sqrt(np.vdot(M, M).real)
+            if math.isfinite(rho_hi) and lowest < -(2.0 * tol * max(1.0, rho_hi) + slack):
+                return False
+    if shift > slack:
+        W = M.copy()
+        W.reshape(-1)[:: n + 1] += shift - slack
+        try:
+            _cholesky_in_place(W)
+        except np.linalg.LinAlgError:
+            return None
+        return True
+    return None
+
+
+def _cholesky_in_place(W: np.ndarray) -> None:
+    """Overwrite the lower triangle of Hermitian W with its Cholesky factor L.
+
+    Left-looking, FACTOR_BLOCK columns at a time, in W alone: a block's
+    diagonal block loses L L* of the columns already factored (their
+    conjugate copied FACTOR_BLOCK columns at a time), and the panel below
+    it loses the same product as one matrix product per FACTOR_BLOCK rows,
+    against the block's rows of L conjugated in place and back; then
+    ``np.linalg.cholesky`` factors the diagonal block, and the panel is
+    solved against it column by column. No n x n temporary is made.
+    Raises ``np.linalg.LinAlgError`` when a pivot is not positive or not
+    finite, with no numpy warning.
+    """
+    n = len(W)
+    with np.errstate(all="ignore"):
+        for s in range(0, n, FACTOR_BLOCK):
+            e = min(s + FACTOR_BLOCK, n)
+            done = W[s:e, :s]
+            for k in range(0, s, FACTOR_BLOCK):
+                part = done[:, k : k + FACTOR_BLOCK]
+                W[s:e, s:e] -= part @ part.conj().T
+            np.conjugate(done, out=done)
+            for r in range(e, n, FACTOR_BLOCK):
+                W[r : r + FACTOR_BLOCK, s:e] -= W[r : r + FACTOR_BLOCK, :s] @ done.T
+            np.conjugate(done, out=done)
+            D = np.linalg.cholesky(W[s:e, s:e])
+            pivots = D.diagonal().real
+            if not np.all(np.isfinite(pivots)):
+                raise np.linalg.LinAlgError("non-finite pivot")
+            W[s:e, s:e] = D
+            if e == n:
+                break
+            rows = D.conj()
+            for j in range(s, e):
+                column = W[e:, j]
+                column -= W[e:, s:j] @ rows[j - s, : j - s]
+                column /= pivots[j - s]
 
 
 def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -256,22 +430,27 @@ def _dominance(
         G1, G2 = gram1.matrix[None], gram2.matrix[None]
     else:
         G1, G2 = blocks1, blocks2
-    verdict2 = _verdict(np.linalg.eigvalsh(G2), tol)
-    if not verdict2.is_psd:
-        raise ValueError(
-            "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
-            % verdict2.min_eigenvalue
-        )
     points = gram2.point_set
     n = len(points)
-    jitter = JITTER_SCALE * float(np.trace(gram2.matrix).real) / n
+    trace = float(np.trace(gram2.matrix).real)
+    jitter = JITTER_SCALE * trace / n
+    # The Cholesky of G2 + jitter I certifies G2 PSD when it completes and
+    # jitter + c <= tol max(1, rho_lo) / 2 (see ``_certificate``).
+    slack = _cholesky_slack(np.diagonal(G2, axis1=1, axis2=2).real, jitter)
+    certified = jitter + slack <= 0.5 * tol * max(1.0, gram2.peak, trace / n)
+    if not certified:
+        _require_psd(G2, tol)
     try:
         L = np.linalg.cholesky(G2 + jitter * np.eye(G2.shape[-1]))
     except np.linalg.LinAlgError as exc:
+        if certified:
+            _require_psd(G2, tol)
         raise np.linalg.LinAlgError(
             "Gram matrix of the dominating kernel is numerically singular even "
             "after jitter; move the grid away from the boundary"
         ) from exc
+    if certified and not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2))):
+        _require_psd(G2, tol)
     half = _solve_lower(L, G1)
     pencil = _solve_lower(L, half.conj().transpose(0, 2, 1))
     pencil = 0.5 * (pencil + pencil.conj().transpose(0, 2, 1))
@@ -287,6 +466,16 @@ def _dominance(
         kernel1=gram1.kernel,
         kernel2=gram2.kernel,
     )
+
+
+def _require_psd(G2: np.ndarray, tol: float) -> None:
+    """Raise unless the spectrum of the dominating Gram (stack) passes the PSD rule."""
+    verdict = _verdict(np.linalg.eigvalsh(G2), tol)
+    if not verdict.is_psd:
+        raise ValueError(
+            "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
+            % verdict.min_eigenvalue
+        )
 
 
 @dataclass(frozen=True)
