@@ -30,7 +30,9 @@ HERMITIAN_TOL = 1e-12
 # is one strip.
 GRAM_STRIP_ENTRIES = 1 << 16
 # Largest dense complex n x n matrix a grid or truncation degree may ask for
-# (n = 4096, 256 MiB); a dominance pencil holds a few such matrices at once.
+# (n = 4096, 256 MiB). Beside its two Grams a dense dominance pencil holds at
+# most three such matrices at once; a certified PSD check holds about half of
+# one, and one more for the symmetrized copy of an ndarray.
 MAX_DENSE_BYTES = 1 << 28
 
 

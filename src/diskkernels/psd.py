@@ -118,11 +118,21 @@ def _as_matrix(G) -> np.ndarray:
         return M
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
+    # (M + M*) * 0.5, max |M - M*| and max |M|, FACTOR_BLOCK rows at a time.
     # Entries near the float limit overflow here; the result is checked below.
+    n = len(M)
+    sym = np.empty((n, n), dtype=complex)
+    buffer = np.empty((min(n, FACTOR_BLOCK), n), dtype=complex)
+    asym = top = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        asym = float(np.max(np.abs(M - M.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(M))))
-        sym = 0.5 * (M + M.conj().T)
+        for s in range(0, n, FACTOR_BLOCK):
+            rows = M[s : s + FACTOR_BLOCK]
+            mirror = np.conjugate(M[:, s : s + FACTOR_BLOCK].T, out=buffer[: len(rows)])
+            strip = np.add(rows, mirror, out=sym[s : s + FACTOR_BLOCK])
+            np.multiply(strip, 0.5, out=strip)
+            asym = max(asym, float(np.max(np.abs(np.subtract(rows, mirror, out=mirror)))))
+            top = max(top, float(np.max(np.abs(rows))))
+    scale = max(1.0, top)
     if asym > 1e-9 * scale:
         raise ValueError("matrix is not Hermitian (deviation %.3g)" % asym)
     if not np.all(np.isfinite(sym)):
@@ -277,7 +287,7 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
       Frobenius norm, is at least rho; ``np.vdot`` takes it with no n x n
       temporary.
     - PSD when a Cholesky of M + (s - c) I completes with a finite
-      diagonal (``_cholesky_in_place``), c = ``_cholesky_slack(diag, s)``:
+      diagonal (``_cholesky_panels``), c = ``_cholesky_slack(diag, s)``:
       then lambda_min >= -s. s = tol max(1, rho_lo) / 2 <= t/2 with
       rho_lo = max(peak, max |M_ii|, tr M / n) <= rho, since |M_ij| and
       the mean eigenvalue are at most rho; ``peak`` is max |M_ij| or 0.
@@ -300,72 +310,100 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
             if math.isfinite(rho_hi) and lowest < -(2.0 * tol * max(1.0, rho_hi) + slack):
                 return False
     if shift > slack:
-        W = M.copy()
-        W.reshape(-1)[:: n + 1] += shift - slack
         try:
-            _cholesky_in_place(W)
+            _cholesky_panels(M, shift - slack)
         except np.linalg.LinAlgError:
             return None
         return True
     return None
 
 
-def _cholesky_in_place(W: np.ndarray) -> None:
-    """Overwrite the lower triangle of Hermitian W with its Cholesky factor L.
+def _cholesky_panels(M: np.ndarray, shift: float) -> list[np.ndarray]:
+    """The Cholesky factor L of Hermitian M + shift I, as FACTOR_BLOCK-row panels.
 
-    Left-looking, FACTOR_BLOCK columns at a time, in W alone: a block's
-    diagonal block loses L L* of the columns already factored (their
-    conjugate copied FACTOR_BLOCK columns at a time), and the panel below
-    it loses the same product as one matrix product per FACTOR_BLOCK rows,
-    against the block's rows of L conjugated in place and back; then
-    ``np.linalg.cholesky`` factors the diagonal block, and the panel is
-    solved against it column by column. No n x n temporary is made.
-    Raises ``np.linalg.LinAlgError`` when a pivot is not positive or not
-    finite, with no numpy warning.
+    Only the lower triangle is held: panel j is rows s:e and columns 0:e of
+    M, copied with ``shift`` added to its diagonal, and is overwritten with
+    rows s:e of L. The factor is left-looking, one block column s:e at a
+    time (``_factor_block_column``), and runs the products, in the same
+    order, of the blocked factor in place in a full copy of M, so L has its
+    bits. The panels share one store of at most n (n + FACTOR_BLOCK) / 2
+    entries, and every block column is gathered into one array of
+    (n - FACTOR_BLOCK) x FACTOR_BLOCK entries: the first block column
+    needs all of both, so freeing panels as they are done would lower no
+    peak. Raises ``np.linalg.LinAlgError`` when a pivot is not positive or
+    not finite, with no numpy warning.
     """
-    n = len(W)
+    n = len(M)
+    bounds = [(s, min(s + FACTOR_BLOCK, n)) for s in range(0, n, FACTOR_BLOCK)]
+    store = np.empty(sum((e - s) * e for s, e in bounds), dtype=complex)
+    gather = np.empty((n - bounds[0][1], FACTOR_BLOCK), dtype=complex)
+    panels = []
     with np.errstate(all="ignore"):
-        for s in range(0, n, FACTOR_BLOCK):
-            e = min(s + FACTOR_BLOCK, n)
-            done = W[s:e, :s]
-            for k in range(0, s, FACTOR_BLOCK):
-                part = done[:, k : k + FACTOR_BLOCK]
-                W[s:e, s:e] -= part @ part.conj().T
-            np.conjugate(done, out=done)
-            for r in range(e, n, FACTOR_BLOCK):
-                W[r : r + FACTOR_BLOCK, s:e] -= W[r : r + FACTOR_BLOCK, :s] @ done.T
-            np.conjugate(done, out=done)
-            D = np.linalg.cholesky(W[s:e, s:e])
-            pivots = D.diagonal().real
-            if not np.all(np.isfinite(pivots)):
-                raise np.linalg.LinAlgError("non-finite pivot")
-            W[s:e, s:e] = D
-            if e == n:
-                break
-            rows = D.conj()
-            for j in range(s, e):
-                column = W[e:, j]
-                column -= W[e:, s:j] @ rows[j - s, : j - s]
-                column /= pivots[j - s]
+        for s, e in bounds:
+            panel = store[: (e - s) * e].reshape(e - s, e)
+            store = store[panel.size :]
+            panel[...] = M[s:e, :e]
+            panel.reshape(-1)[s :: e + 1] += shift
+            panels.append(panel)
+        for j, panel in enumerate(panels):
+            _factor_block_column(panel, panels[j + 1 :], gather)
+    return panels
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for a stack of lower-triangular L, by blocked forward substitution.
+def _factor_block_column(panel: np.ndarray, lowers: list, gather: np.ndarray) -> None:
+    """Factor block column s:e, held by ``panel`` in rows s:e and by ``lowers`` below.
 
-    Rows are solved SOLVE_BLOCK at a time: a block's right-hand side loses
-    its product with the rows already solved, then one ``np.linalg.solve``
-    on the diagonal block finishes it. The products are matrix products,
-    so a dense pencil runs at BLAS speed, and a stack no larger than one
-    block is exactly one batched ``np.linalg.solve``.
+    The diagonal block loses L L* of the columns already factored (the
+    panel's columns 0:s, FACTOR_BLOCK at a time), and the rows below lose
+    the same product as one matrix product per panel, against the panel's
+    columns 0:s conjugated in place and back, written into ``gather``.
+    ``np.linalg.cholesky`` factors the diagonal block, and the gathered
+    column is solved against it column by column and scattered back.
+    """
+    h, e = panel.shape
+    s = e - h
+    done, diag = panel[:, :s], panel[:, s:]
+    for k in range(0, s, FACTOR_BLOCK):
+        part = done[:, k : k + FACTOR_BLOCK]
+        diag -= part @ part.conj().T
+    below = gather[: sum(len(lower) for lower in lowers)]
+    blocks = [below[r : r + FACTOR_BLOCK] for r in range(0, len(below), FACTOR_BLOCK)]
+    np.conjugate(done, out=done)
+    for lower, block in zip(lowers, blocks):
+        np.subtract(lower[:, s:e], lower[:, :s] @ done.T, out=block)
+    np.conjugate(done, out=done)
+    D = np.linalg.cholesky(diag)
+    pivots = D.diagonal().real
+    if not np.all(np.isfinite(pivots)):
+        raise np.linalg.LinAlgError("non-finite pivot")
+    diag[...] = D
+    if not lowers:
+        return
+    rows = D.conj()
+    for j in range(h):
+        column = below[:, j]
+        column -= below[:, :j] @ rows[j, :j]
+        column /= pivots[j]
+    for lower, block in zip(lowers, blocks):
+        lower[:, s:e] = block
+
+
+def _solve_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Overwrite X with L^-1 X, for a stack of lower-triangular L; return X.
+
+    Blocked forward substitution, SOLVE_BLOCK rows at a time: a block's
+    rows lose their product with the rows already solved, then one
+    ``np.linalg.solve`` on the diagonal block finishes them. The products
+    are matrix products, so a dense pencil runs at BLAS speed, and a stack
+    no larger than one block is exactly one batched ``np.linalg.solve``.
     """
     n = L.shape[-1]
-    X = np.empty(B.shape, dtype=np.result_type(L, B))
     for s in range(0, n, SOLVE_BLOCK):
         e = min(s + SOLVE_BLOCK, n)
-        rhs = B[:, s:e]
+        rhs = X[:, s:e]
         if s:
-            rhs = rhs - L[:, s:e, :s] @ X[:, :s]
-        X[:, s:e] = np.linalg.solve(L[:, s:e, s:e], rhs)
+            rhs -= L[:, s:e, :s] @ X[:, :s]
+        rhs[...] = np.linalg.solve(L[:, s:e, s:e], rhs)
     return X
 
 
@@ -440,8 +478,14 @@ def _dominance(
     certified = jitter + slack <= 0.5 * tol * max(1.0, gram2.peak, trace / n)
     if not certified:
         _require_psd(G2, tol)
+    # G2 + jitter I with the bits of G2 + jitter * np.eye(m), without the
+    # float identity: an entry off the diagonal gains jitter * 0.0, which
+    # turns -0.0 into +0.0.
+    A = G2 + jitter * 0.0
+    d = np.arange(G2.shape[-1])
+    A[:, d, d] = G2[:, d, d] + jitter
     try:
-        L = np.linalg.cholesky(G2 + jitter * np.eye(G2.shape[-1]))
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         if certified:
             _require_psd(G2, tol)
@@ -451,12 +495,20 @@ def _dominance(
         ) from exc
     if certified and not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2))):
         _require_psd(G2, tol)
-    half = _solve_lower(L, G1)
-    pencil = _solve_lower(L, half.conj().transpose(0, 2, 1))
-    pencil = 0.5 * (pencil + pencil.conj().transpose(0, 2, 1))
-    delta = float(np.max(np.linalg.eigvalsh(pencil)))
+    del A
+    # L^-1 G1, then L^-1 of its conjugate transpose, copied C-contiguous as
+    # the first solve's result is; each step drops the array before it.
+    pencil = _solve_lower(L, G1.copy())
+    pencil = np.conjugate(pencil.transpose(0, 2, 1), order="C")
+    pencil = _solve_lower(L, pencil)
+    del L
+    herm = pencil + pencil.conj().transpose(0, 2, 1)
+    np.multiply(0.5, herm, out=herm)
+    delta = float(np.max(np.linalg.eigvalsh(herm)))
     delta = max(delta, 0.0)
-    gap = np.linalg.eigvalsh(delta * G2 - G1)
+    del herm
+    # delta G2 - G1, in the pencil's buffer.
+    gap = np.linalg.eigvalsh(np.subtract(np.multiply(delta, G2, out=pencil), G1, out=pencil))
     return DominanceReport(
         delta_min=delta,
         min_eig_at_delta=float(np.min(gap)),
@@ -533,8 +585,10 @@ def membership_check(
     # Overflow shows as non-finite entries, which is_psd rejects.
     with np.errstate(all="ignore"):
         v = _values_on(f, points.array)
-        G = gram(kernel, points).matrix
-        test = c * c * G - np.outer(v, v.conj())
+        test = c * c * gram(kernel, points).matrix
+        vh = v.conj()
+        for s in range(0, len(v), FACTOR_BLOCK):
+            test[s : s + FACTOR_BLOCK] -= np.outer(v[s : s + FACTOR_BLOCK], vh)
     return is_psd(test, tol)
 
 

@@ -5,9 +5,11 @@ Cholesky (``psd._certificate``) before it runs ``eigvalsh``, and a verdict
 so decided computes its spectrum on first read. These tests require that a
 certificate agrees with the spectral rule wherever it decides, that it
 decides the clear cases, that reading the spectrum later gives the bits of
-the eager verdict, that the blocked in-place factor is a Cholesky holding no
-second n x n array, and that ``dominance_delta_min`` counts the pencil's
-Cholesky as the PSD check of its dominating Gram.
+the eager verdict, that the panel factor is a Cholesky with the bits of the
+former in-place factor and holds about half an n x n array, that the
+symmetrized input, the membership test matrix and the dominance pencil keep
+their bits in fewer n x n temporaries, and that ``dominance_delta_min``
+counts the pencil's Cholesky as the PSD check of its dominating Gram.
 """
 
 import tracemalloc
@@ -31,7 +33,7 @@ from diskkernels import (
     sample_grid,
 )
 from diskkernels import psd
-from diskkernels.psd import FACTOR_BLOCK, _cholesky_in_place, _cholesky_slack, _verdict
+from diskkernels.psd import FACTOR_BLOCK, _cholesky_panels, _cholesky_slack, _verdict
 
 REAL_EIGVALSH = np.linalg.eigvalsh
 SIZES = (1, 2, FACTOR_BLOCK - 1, FACTOR_BLOCK, FACTOR_BLOCK + 1, 130, 300)
@@ -61,6 +63,60 @@ def _planted(n, least, fixed_axis, seed):
         Q = _unitary(rng, n)
     M = (Q * lam) @ Q.conj().T
     return 0.5 * (M + M.conj().T)
+
+
+def _factor(M, shift=0.0):
+    """The factor of M + shift I, assembled from its panels."""
+    L = np.zeros(M.shape, dtype=complex)
+    for panel in _cholesky_panels(M, shift):
+        h, e = panel.shape
+        L[e - h : e, :e] = panel
+    return L
+
+
+def _factor_in_place(W):
+    """The blocked factor that ran in a full copy of the matrix, kept as the reference."""
+    n = len(W)
+    with np.errstate(all="ignore"):
+        for s in range(0, n, FACTOR_BLOCK):
+            e = min(s + FACTOR_BLOCK, n)
+            done = W[s:e, :s]
+            for k in range(0, s, FACTOR_BLOCK):
+                part = done[:, k : k + FACTOR_BLOCK]
+                W[s:e, s:e] -= part @ part.conj().T
+            np.conjugate(done, out=done)
+            for r in range(e, n, FACTOR_BLOCK):
+                W[r : r + FACTOR_BLOCK, s:e] -= W[r : r + FACTOR_BLOCK, :s] @ done.T
+            np.conjugate(done, out=done)
+            D = np.linalg.cholesky(W[s:e, s:e])
+            pivots = D.diagonal().real
+            if not np.all(np.isfinite(pivots)):
+                raise np.linalg.LinAlgError("non-finite pivot")
+            W[s:e, s:e] = D
+            if e == n:
+                break
+            rows = D.conj()
+            for j in range(s, e):
+                column = W[e:, j]
+                column -= W[e:, s:j] @ rows[j - s, : j - s]
+                column /= pivots[j - s]
+
+
+def _factor_bytes(n):
+    """The panels, the gathered block column and a few block-sized temporaries."""
+    return 16 * (n * (n + FACTOR_BLOCK) / 2 + (n - FACTOR_BLOCK) * FACTOR_BLOCK + 8 * FACTOR_BLOCK**2)
+
+
+def _traced_peak(call):
+    """call() and the peak of traced memory above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture
@@ -128,19 +184,44 @@ def test_blocked_factor_is_a_cholesky(n):
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     M = B @ B.conj().T / n + np.eye(n)
-    W = M.copy()
-    _cholesky_in_place(W)
     want = np.linalg.cholesky(M)
-    assert np.max(np.abs(np.tril(W) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(_factor(M) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, FACTOR_BLOCK - 1, FACTOR_BLOCK, FACTOR_BLOCK + 1, 130, 300])
+def test_panel_factor_has_the_bits_of_the_in_place_factor(n):
+    rng = np.random.default_rng(3 * n)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    planted = B @ B.conj().T / n
+    grid = gram(Szego(), sample_grid(RandomGrid(n, 0.9, n))).matrix
+    compared = 0
+    for M, shift in ((0.5 * (planted + planted.conj().T), 1e-3), (grid, 1e-6), (grid, 0.0)):
+        W = M.copy()
+        W.reshape(-1)[:: n + 1] += shift
+        try:
+            _factor_in_place(W)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                _factor(M, shift)
+            continue
+        assert _factor(M, shift).tobytes() == np.tril(W).tobytes(), (n, shift)
+        compared += 1
+    assert compared >= 2
+
+
+def test_panels_tile_the_lower_triangle():
+    n = 3 * FACTOR_BLOCK + 5
+    panels = _cholesky_panels(_planted(n, 1.0, False, seed=5), 0.0)
+    assert [p.shape for p in panels] == [(FACTOR_BLOCK, FACTOR_BLOCK * k) for k in (1, 2, 3)] + [(5, n)]
+    # One store holds them all, one after another.
+    assert all(p.base is panels[0].base for p in panels)
 
 
 @pytest.mark.parametrize("n", [2, FACTOR_BLOCK + 1, 300])
 def test_slack_bounds_the_rounding_of_both_factors(n):
     A = _planted(n, 1e-9, False, seed=7 * n)
     c = _cholesky_slack(A.diagonal().real, 0.0)
-    W = A.copy()
-    _cholesky_in_place(W)
-    for L in (np.tril(W), np.linalg.cholesky(A)):
+    for L in (_factor(A), np.linalg.cholesky(A)):
         residual = np.max(np.abs(REAL_EIGVALSH(L @ L.conj().T - A)))
         assert 0.0 < residual <= c
 
@@ -149,7 +230,7 @@ def test_slack_bounds_the_rounding_of_both_factors(n):
 def test_blocked_factor_raises_on_indefinite_input(n):
     M = _planted(n, -1e-3, False, seed=n)
     with pytest.raises(np.linalg.LinAlgError):
-        _cholesky_in_place(M.copy())
+        _factor(M)
 
 
 def test_blocked_factor_declines_on_overflow_without_a_warning():
@@ -164,7 +245,7 @@ def test_blocked_factor_declines_on_overflow_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_in_place(M.copy())
+            _factor(M)
         assert is_psd(M).is_psd == _verdict(REAL_EIGVALSH(M), psd.DEFAULT_TOL).is_psd
 
 
@@ -180,15 +261,67 @@ def test_an_overflowing_spectrum_is_still_refused():
 def test_certified_check_holds_one_working_matrix():
     n = 800
     G = gram(Szego(), sample_grid(RandomGrid(n, 0.9, 1)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        verdict = is_psd(G)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    verdict, peak = _traced_peak(lambda: is_psd(G))
     assert verdict.is_psd and "_extremes" not in vars(verdict)
-    assert peak <= 1.05 * n * n * 16
+    # 0.63 n^2 complex entries at n = 800; a full working copy was 1.
+    assert peak <= _factor_bytes(n)
+
+
+def _old_symmetrized(M):
+    return 0.5 * (M + M.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, FACTOR_BLOCK + 1, 130])
+def test_symmetrized_ndarray_keeps_its_bits(n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M = M + M.conj().T
+    zeros = rng.random((n, n)) < 0.2
+    M[zeros | zeros.T] = -0.0
+    M[0, -1] += 1e-13j  # a deviation below the Hermitian tolerance
+    M[-1, -1] = complex(5e-324, -0.0)
+    assert psd._as_matrix(M).tobytes() == _old_symmetrized(M).tobytes()
+
+
+def test_symmetrized_ndarray_still_refuses_overflow_and_asymmetry():
+    M = np.full((FACTOR_BLOCK + 3, FACTOR_BLOCK + 3), 1e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            psd._as_matrix(M)
+        M = np.eye(FACTOR_BLOCK + 3, dtype=complex)
+        M[-1, 0] = 1e-3
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            psd._as_matrix(M)
+
+
+def test_symmetrized_ndarray_is_made_a_strip_at_a_time():
+    n = 400
+    M = np.array(gram(Szego(), sample_grid(RandomGrid(n, 0.9, 1))).matrix)
+    _, peak = _traced_peak(lambda: psd._as_matrix(M))
+    # The symmetrized copy, one strip of the mirror and its moduli.
+    assert peak <= 16 * (n * n + 1.6 * FACTOR_BLOCK * n)
+    verdict, peak = _traced_peak(lambda: is_psd(M))
+    assert verdict.is_psd and "_extremes" not in vars(verdict)
+    assert peak <= 16 * n * n + _factor_bytes(n)
+
+
+def test_membership_forms_its_test_matrix_in_one_array(monkeypatch):
+    n = 800
+    points = sample_grid(RandomGrid(n, 0.9, 1))
+    f = TaylorPolynomial((0.3, 0.2))
+    verdict, peak = _traced_peak(lambda: membership_check(f, Szego(), 1.0, points))
+    assert verdict.is_psd and "_extremes" not in vars(verdict)
+    # The test matrix, its symmetrized copy and the factor.
+    assert peak <= 2 * 16 * n * n + _factor_bytes(n)
+    tested = []
+    monkeypatch.setattr(psd, "is_psd", lambda M, tol: tested.append(M))
+    membership_check(f, Szego(), 1.5, points)
+    v = f.eval(points.array)
+    want = 1.5 * 1.5 * gram(Szego(), points).matrix - np.outer(v, v.conj())
+    assert tested[0].tobytes() == want.tobytes()
+
+
 
 
 @pytest.mark.parametrize(
