@@ -422,47 +422,13 @@ def dominance_delta_min(
     the pencil is solved as one R x R pencil per frequency.
     """
     tol = _checked_tol(tol)
-    return _dominance(gram(kernel1, points), gram(kernel2, points), tol, {})
+    return _dominance(gram(kernel1, points), gram(kernel2, points), tol)
 
 
-class _SharedGrams:
-    """Dominance between kernels on one grid, each Gram built once.
-
-    The forward and inclusion checks of ``verify.verify_m1`` compare the
-    same two kernels in opposite directions; through one of these they
-    build each Gram once and run each route check once.
-    """
-
-    def __init__(self, points: PointSet, tol: float):
-        self.points = points
-        self.tol = tol
-        self._grams: dict = {}
-        self._routes: dict = {}
-
-    def dominance(self, kernel1: KernelExpr, kernel2: KernelExpr) -> DominanceReport:
-        tol = _checked_tol(self.tol)
-        for kernel in (kernel1, kernel2):
-            if kernel not in self._grams:
-                self._grams[kernel] = gram(kernel, self.points)
-        return _dominance(self._grams[kernel1], self._grams[kernel2], tol, self._routes)
-
-
-def _dominance(
-    gram1: GramMatrix, gram2: GramMatrix, tol: float, routes: dict
-) -> DominanceReport:
-    """The dominance report of two Grams on one grid, for a checked tol.
-
-    ``routes`` maps each Gram already route-checked to its ``_angle_blocks``
-    and gains the ones checked here.
-    """
-
-    def blocks(G: GramMatrix) -> Optional[np.ndarray]:
-        if G not in routes:
-            routes[G] = _angle_blocks(G, tol)
-        return routes[G]
-
-    blocks2 = blocks(gram2)
-    blocks1 = None if blocks2 is None else blocks(gram1)
+def _dominance(gram1: GramMatrix, gram2: GramMatrix, tol: float) -> DominanceReport:
+    """The dominance report of two Grams on one grid, for a checked tol."""
+    blocks2 = _angle_blocks(gram2, tol)
+    blocks1 = None if blocks2 is None else _angle_blocks(gram1, tol)
     if blocks1 is None:
         # Dense route: one n x n pencil, as a stack of one.
         G1, G2 = gram1.matrix[None], gram2.matrix[None]
@@ -472,30 +438,36 @@ def _dominance(
     n = len(points)
     trace = float(np.trace(gram2.matrix).real)
     jitter = JITTER_SCALE * trace / n
-    # The Cholesky of G2 + jitter I certifies G2 PSD when it completes and
-    # jitter + c <= tol max(1, rho_lo) / 2 (see ``_certificate``).
+    # The Cholesky of G2 + jitter I certifies G2 PSD when it completes with a
+    # finite diagonal and jitter + c <= tol max(1, rho_lo) / 2 (see
+    # ``_certificate``); otherwise the spectrum of G2 decides.
     slack = _cholesky_slack(np.diagonal(G2, axis1=1, axis2=2).real, jitter)
     certified = jitter + slack <= 0.5 * tol * max(1.0, gram2.peak, trace / n)
-    if not certified:
-        _require_psd(G2, tol)
     # G2 + jitter I with the bits of G2 + jitter * np.eye(m), without the
     # float identity: an entry off the diagonal gains jitter * 0.0, which
     # turns -0.0 into +0.0.
     A = G2 + jitter * 0.0
     d = np.arange(G2.shape[-1])
     A[:, d, d] = G2[:, d, d] + jitter
+    singular = None
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
-        if certified:
-            _require_psd(G2, tol)
+        singular = exc
+    del A
+    if (
+        singular is not None
+        or not certified
+        or not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2)))
+    ):
+        lo, spectral = _least_and_norm(np.linalg.eigvalsh(G2))
+        if not lo >= -tol * max(1.0, spectral):
+            raise ValueError("dominating kernel is not PSD on the grid (min eigenvalue %.3g)" % lo)
+    if singular is not None:
         raise np.linalg.LinAlgError(
             "Gram matrix of the dominating kernel is numerically singular even "
             "after jitter; move the grid away from the boundary"
-        ) from exc
-    if certified and not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2))):
-        _require_psd(G2, tol)
-    del A
+        ) from singular
     # L^-1 G1, then L^-1 of its conjugate transpose, copied C-contiguous as
     # the first solve's result is; each step drops the array before it.
     pencil = _solve_lower(L, G1.copy())
@@ -518,16 +490,6 @@ def _dominance(
         kernel1=gram1.kernel,
         kernel2=gram2.kernel,
     )
-
-
-def _require_psd(G2: np.ndarray, tol: float) -> None:
-    """Raise unless the spectrum of the dominating Gram (stack) passes the PSD rule."""
-    verdict = _verdict(np.linalg.eigvalsh(G2), tol)
-    if not verdict.is_psd:
-        raise ValueError(
-            "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
-            % verdict.min_eigenvalue
-        )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .functions import BlaschkeProduct, ratio_table
 from .kernels import PointSet, RadialGrid, SubBergman, WeightedBergman, sample_grid
 from .modelspace import pointwise_bound_constant
-from .psd import DEFAULT_TOL, _SharedGrams, dominance_delta_min
+from .psd import DEFAULT_TOL, dominance_delta_min
 from .specs import format_function, point_set_obj
 
 REPORT_TOL = 1e-6
@@ -85,18 +85,9 @@ def verify_inclusion(
     on the grid and passes when it stays within 1e-6 of
     (1 + |b(0)|)/(1 - |b(0)|).
     """
-    return _inclusion(b, alpha, points, _dominance_on(points, tol))
-
-
-def _dominance_on(points: PointSet, tol: float):
-    """``dominance(kernel1, kernel2)`` on ``points``, each call with its own Grams."""
-    return lambda kernel1, kernel2: dominance_delta_min(kernel1, kernel2, points, tol)
-
-
-def _inclusion(b, alpha: float, points: PointSet, dominance) -> TheoremReport:
     b0 = _require_nonconstant(b)
     alpha = float(alpha)
-    report = dominance(WeightedBergman(alpha - 1.0), SubBergman(b, alpha))
+    report = dominance_delta_min(WeightedBergman(alpha - 1.0), SubBergman(b, alpha), points, tol)
     analytic = (1.0 + abs(b0)) / (1.0 - abs(b0))
     verdict = "pass" if report.delta_min <= analytic + REPORT_TOL else "fail"
     return TheoremReport(
@@ -126,17 +117,13 @@ def verify_equality_forward(
     delta_min(SubBergman(b, alpha) -> WeightedBergman(alpha - 1)) <=
     N * C_grid * (1 + 1e-6).
     """
-    return _forward(b, alpha, points, _dominance_on(points, tol))
-
-
-def _forward(b: BlaschkeProduct, alpha: float, points: PointSet, dominance) -> TheoremReport:
     if not isinstance(b, BlaschkeProduct):
         raise TypeError("the forward bound needs a finite Blaschke product")
     _require_nonconstant(b)
     alpha = float(alpha)
     boundary = boundary_ratio_grid()
     c_grid = pointwise_bound_constant(b, boundary)
-    report = dominance(SubBergman(b, alpha), WeightedBergman(alpha - 1.0))
+    report = dominance_delta_min(SubBergman(b, alpha), WeightedBergman(alpha - 1.0), points, tol)
     bound = b.degree * c_grid
     verdict = "pass" if report.delta_min <= bound * (1.0 + REPORT_TOL) else "fail"
     return TheoremReport(
@@ -216,15 +203,11 @@ def verify_equality(
     Runs the forward bound on ``points`` for a ``BlaschkeProduct`` and the
     converse table on ``radii`` and ``angles`` for any other symbol.
     """
-    return _equality(b, alpha, points, radii, angles, _dominance_on(points, tol))
-
-
-def _equality(b, alpha: float, points: PointSet | None, radii: tuple, angles: int, dominance):
     if not isinstance(b, BlaschkeProduct):
         return verify_equality_converse(b, radii, angles)
     if points is None:
         raise ValueError("the forward bound for a Blaschke symbol needs a grid")
-    return _forward(b, alpha, points, dominance)
+    return verify_equality_forward(b, alpha, points, tol)
 
 
 def verify_m1(
@@ -235,12 +218,12 @@ def verify_m1(
 
     Composes the alpha = 0 inclusion check with ``verify_equality``; passes
     when both hold. For a Blaschke symbol both compare SubBergman(b, 0)
-    with WeightedBergman(-1) on ``points``, and they share the two Grams.
+    with WeightedBergman(-1) on ``points``, in opposite directions, and each
+    builds its own two Grams.
     """
-    dominance = _SharedGrams(points, tol).dominance
     # Equality first: a converse table refuses bad radii or angles before any Gram.
-    second = _equality(b, 0.0, points, radii, angles, dominance)
-    inclusion = _inclusion(b, 0.0, points, dominance)
+    second = verify_equality(b, 0.0, points, radii, angles, tol)
+    inclusion = verify_inclusion(b, 0.0, points, tol)
     verdict = "pass" if inclusion.holds and second.holds else "fail"
     return TheoremReport(
         theorem="m1-special-case",

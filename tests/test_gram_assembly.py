@@ -1,7 +1,7 @@
 """Gram assembly in strips, and the angular route's check on a circulant view.
 
 ``kernels.gram`` evaluates the kernel and symmetrizes it one strip of rows
-at a time, each pair of points once, and keeps max |G_ij| as
+at a time, each pair of points once, on W threads, and keeps max |G_ij| as
 ``GramMatrix.peak``; ``psd._circulant_dev2`` rebuilds the block-circulant
 matrix as a strided view. The whole-matrix evaluation and symmetrization
 and the per-radius deviation loop they replace are kept below verbatim as
@@ -127,6 +127,10 @@ def _point_sets():
 
 
 POINT_SETS = dict(_point_sets())
+# The point sets whose Gram is more than one strip, and the worker counts
+# W = ``kx._gram_workers()`` they are assembled with.
+SPLIT = [name for name, points in POINT_SETS.items() if len(points) ** 2 > kx.GRAM_STRIP_ENTRIES]
+WORKERS = (1, 2, 3, 5)
 
 
 def _check_against_reference(kernel, points):
@@ -138,11 +142,15 @@ def _check_against_reference(kernel, points):
         assert str(info.value) == str(exc)
         return None
     G = gram(kernel, points)
+    _assert_reference_bits(G, expected)
+    return G
+
+
+def _assert_reference_bits(G, expected):
     matrix, asym, peak = expected
     assert G.matrix.tobytes() == matrix.tobytes()
     assert _bits(G.asymmetry) == _bits(asym)
     assert _bits(G.peak) == _bits(peak)
-    return G
 
 
 def _check_route(G, tol):
@@ -160,11 +168,18 @@ def _check_route(G, tol):
 
 @pytest.mark.parametrize("grid", list(POINT_SETS))
 @pytest.mark.parametrize("text", KERNELS)
-def test_gram_and_route_match_the_reference(text, grid):
-    G = _check_against_reference(parse_kernel(text), POINT_SETS[grid])
-    assert G is not None
-    for tol in (DEFAULT_TOL, 0.0, 1e-3):
-        _check_route(G, tol)
+def test_gram_and_route_match_the_reference(text, grid, monkeypatch):
+    kernel, points = parse_kernel(text), POINT_SETS[grid]
+    expected = _reference_gram(kernel, points)
+    # A Gram of more than one strip is also assembled by W - 1 helper threads
+    # for each W listed; the W of this machine is always checked.
+    counts = {kx._gram_workers()} | (set(WORKERS) if grid in SPLIT else set())
+    for w in sorted(counts):
+        monkeypatch.setattr(kx, "_gram_workers", lambda w=w: w)
+        G = gram(kernel, points)
+        _assert_reference_bits(G, expected)
+        for tol in (DEFAULT_TOL, 0.0, 1e-3):
+            _check_route(G, tol)
 
 
 def test_every_node_kind_and_both_routes_are_covered():

@@ -1,11 +1,12 @@
 """Gram strips spread over the CPUs the process may use.
 
 ``kernels.gram`` hands its strips to the calling thread and W - 1 helper
-threads, W = ``kernels._gram_workers()``. These tests patch W and require
-the bits of the whole-matrix reference of ``test_gram_assembly`` for every
-W, the error a serial loop would raise, no thread at W = 1, no helper
-outliving its Gram, no leaked warning, the in-flight memory budget for
-large W, a working ``gram`` after ``os.fork``, and no new import at startup.
+threads, W = ``kernels._gram_workers()``. ``test_gram_assembly`` requires
+the bits of its whole-matrix reference for every W in ``WORKERS``. These
+tests patch W and require the error a serial loop would raise, no thread at
+W = 1, no helper outliving its Gram, no leaked warning, the in-flight memory
+budget for large W, a working ``gram`` after ``os.fork``, and no new import
+at startup.
 """
 
 import os
@@ -22,23 +23,17 @@ import pytest
 import diskkernels
 from diskkernels import kernels as kx
 from diskkernels.kernels import PointSet, RandomGrid, gram, sample_grid
-from diskkernels.psd import DEFAULT_TOL
 from diskkernels.specs import parse_function, parse_kernel
 from test_gram_assembly import (
-    KERNELS,
     POINT_SETS,
+    SPLIT,
+    WORKERS,
     _check_against_reference,
-    _bits,
-    _check_route,
     _leaves_the_ball,
     _Planted,
-    _reference_gram,
 )
 
 SRC = str(pathlib.Path(diskkernels.__file__).resolve().parents[1])
-WORKERS = (1, 2, 3, 5)
-# The point sets whose Gram is more than one strip.
-SPLIT = [name for name, points in POINT_SETS.items() if len(points) ** 2 > kx.GRAM_STRIP_ENTRIES]
 
 
 @pytest.fixture
@@ -91,21 +86,6 @@ def test_the_strips_in_flight_hold_no_more_than_one_serial_strip():
                 assert serial - threads < threads * rows <= serial
                 # Every thread has a strip to take.
                 assert len(range(0, n, rows)) > threads
-
-
-@pytest.mark.parametrize("grid", SPLIT)
-@pytest.mark.parametrize("text", KERNELS)
-def test_every_worker_count_gives_the_reference_bits(text, grid, workers):
-    kernel, points = parse_kernel(text), POINT_SETS[grid]
-    matrix, asym, peak = _reference_gram(kernel, points)
-    for w in WORKERS:
-        workers(w)
-        G = gram(kernel, points)
-        assert G.matrix.tobytes() == matrix.tobytes()
-        assert (_bits(G.asymmetry), _bits(G.peak)) == (_bits(asym), _bits(peak))
-    # Equal bits make equal route choices; check them once against the reference.
-    for tol in (DEFAULT_TOL, 0.0):
-        _check_route(G, tol)
 
 
 @pytest.mark.parametrize("w", [2, 3, 5])

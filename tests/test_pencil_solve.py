@@ -185,7 +185,7 @@ def test_dense_pencil_holds_three_working_matrices():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = psd._dominance(G1, G2, DEFAULT_TOL, {})
+        report = psd._dominance(G1, G2, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -200,7 +200,7 @@ def test_canonical_json_rejects_non_finite_floats():
 @pytest.mark.parametrize(
     "grid", ["radial[0.3,0.6,0.85;angles=24]", "random[n=90,rmax=0.85,seed=3]"]
 )
-def test_m1_builds_each_gram_once_with_unchanged_output(grid, monkeypatch):
+def test_m1_runs_equality_then_inclusion_with_unchanged_output(grid, monkeypatch):
     points = sample_grid(parse_grid(grid))
     b = BlaschkeProduct((0.3, 0.5j))
     separate = [
@@ -215,8 +215,10 @@ def test_m1_builds_each_gram_once_with_unchanged_output(grid, monkeypatch):
 
     monkeypatch.setattr(psd, "gram", spy)
     report = verify_m1(b, points)
-    assert built == [format_kernel(SubBergman(b, 0.0)), "bergman[alpha=-1]"]
-    # The shared Grams give the bits of the two checks run on their own.
+    sub = format_kernel(SubBergman(b, 0.0))
+    # Equality first, then inclusion, each with its own two Grams.
+    assert built == [sub, "bergman[alpha=-1]", "bergman[alpha=-1]", sub]
+    # The bits of the two checks run on their own.
     assert canonical_json(report.report_dict()["details"]) == canonical_json(
         [separate[1], separate[0]]
     )
