@@ -9,6 +9,7 @@ the reference. Every matrix, asymmetry, peak, deviation, error message and
 route choice must be bit-identical to it.
 """
 
+import functools
 import math
 import struct
 import tracemalloc
@@ -166,20 +167,35 @@ def _check_route(G, tol):
     assert (blocks is not None) == routed
 
 
-@pytest.mark.parametrize("grid", list(POINT_SETS))
-@pytest.mark.parametrize("text", KERNELS)
-def test_gram_and_route_match_the_reference(text, grid, monkeypatch):
-    kernel, points = parse_kernel(text), POINT_SETS[grid]
-    expected = _reference_gram(kernel, points)
-    # A Gram of more than one strip is also assembled by W - 1 helper threads
-    # for each W listed; the W of this machine is always checked.
-    counts = {kx._gram_workers()} | (set(WORKERS) if grid in SPLIT else set())
-    for w in sorted(counts):
-        monkeypatch.setattr(kx, "_gram_workers", lambda w=w: w)
-        G = gram(kernel, points)
-        _assert_reference_bits(G, expected)
-        for tol in (DEFAULT_TOL, 0.0, 1e-3):
-            _check_route(G, tol)
+def _cases():
+    """(text, grid, W) for every kernel on every point set at the W of this
+    machine, then, for a Gram of more than one strip, at each W in WORKERS.
+
+    The cases of one (text, grid) are consecutive, so ``_reference`` builds
+    each reference once.
+    """
+    for text in KERNELS:
+        for grid in POINT_SETS:
+            yield pytest.param(text, grid, None, id="%s-%s" % (text, grid))
+            if grid in SPLIT:
+                for w in WORKERS:
+                    yield pytest.param(text, grid, w, id="%s-%s-w%d" % (text, grid, w))
+
+
+@functools.lru_cache(maxsize=1)
+def _reference(text, grid):
+    return _reference_gram(parse_kernel(text), POINT_SETS[grid])
+
+
+@pytest.mark.parametrize("text, grid, w", _cases())
+def test_gram_and_route_match_the_reference(text, grid, w, monkeypatch):
+    if w is not None:
+        # Assembled by W - 1 helper threads and the calling one.
+        monkeypatch.setattr(kx, "_gram_workers", lambda: w)
+    G = gram(parse_kernel(text), POINT_SETS[grid])
+    _assert_reference_bits(G, _reference(text, grid))
+    for tol in (DEFAULT_TOL, 0.0, 1e-3):
+        _check_route(G, tol)
 
 
 def test_every_node_kind_and_both_routes_are_covered():
