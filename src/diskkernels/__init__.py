@@ -23,7 +23,6 @@ from .functions import (
     ensure_in_disk,
     evaluate,
     normalized_zero_kernel,
-    ratio_sup_estimate,
     ratio_table,
     ratio_values,
     taylor_coefficients,

@@ -27,7 +27,7 @@ from .operators import (
     write_matrix_cells,
     write_matrix_csv,
 )
-from .psd import dominance_delta_min, is_psd, membership_check, multiplier_check
+from .psd import DEFAULT_TOL, dominance_delta_min, is_psd, membership_check, multiplier_check
 from .specs import (
     SpecParseError,
     format_function,
@@ -37,7 +37,7 @@ from .specs import (
     parse_kernel,
     point_set_obj,
 )
-from .verify import CONVERSE_RADII, verify_equality, verify_inclusion, verify_m1
+from .verify import CONVERSE_ANGLES, CONVERSE_RADII, verify_equality, verify_inclusion, verify_m1
 
 
 class UsageError(Exception):
@@ -88,7 +88,7 @@ def _integer_at_least(low: int):
 
 # Flags accepted on either side of the subcommand: (flag, add_argument keywords).
 GLOBAL_FLAGS = (
-    ("--tol", dict(type=_tolerance, default=1e-9, help="PSD tolerance")),
+    ("--tol", dict(type=_tolerance, default=DEFAULT_TOL, help="PSD tolerance")),
     ("--degree", dict(type=int, default=128, help="truncation degree for operators")),
     ("--format", dict(choices=("json", "csv"), default="json", dest="fmt",
                       help="report format")),
@@ -162,7 +162,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--grid", default=None)
     p.add_argument("--radii", default=None)
-    p.add_argument("--angles", type=_integer_at_least(1), default=64)
+    p.add_argument("--angles", type=_integer_at_least(1), default=CONVERSE_ANGLES)
 
     return top
 

@@ -433,8 +433,3 @@ def ratio_table(b, radii, angles: int) -> list[float]:
         )
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     return [float(np.max(ratio_values(b, r * circle))) for r in radii]
-
-
-def ratio_sup_estimate(b, radii, angles_per_radius: int = 64) -> float:
-    """Max of the boundary-growth ratio over a radial-angular grid."""
-    return max(ratio_table(b, radii, angles_per_radius))

@@ -215,6 +215,7 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     axis, D is formed from T_b in complex arithmetic.
     """
     _check_degree(weight, degree)
+    T = phases = None
     axis = b.reflection_axis()
     if axis is not None:
         omega, g = axis
@@ -222,22 +223,16 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         drift = float(np.linalg.norm(_toeplitz_fill(coeffs.imag, weight, degree)))
         if 2.0 * drift + drift * drift <= (degree + 1) * np.finfo(float).eps:
             T = _toeplitz_fill(coeffs.real, weight, degree)
-            D = np.eye(degree + 1) - T @ T.T
-            D = 0.5 * (D + D.T)
-            evals, vecs = np.linalg.eigh(D)
             phases = axis_phases(omega, degree)
-            D = D * np.outer(phases, phases.conj())
-            D = 0.5 * (D + D.conj().T)
-            return _spectral_defect(weight, degree, D, evals, phases[:, None] * vecs)
-    T = toeplitz_analytic(b, weight, degree).matrix
-    D = np.eye(degree + 1, dtype=complex) - T @ T.conj().T
+    if T is None:
+        T = toeplitz_analytic(b, weight, degree).matrix
+    D = np.eye(degree + 1, dtype=T.dtype) - T @ T.conj().T
     D = 0.5 * (D + D.conj().T)
     evals, vecs = np.linalg.eigh(D)
-    return _spectral_defect(weight, degree, D, evals, vecs)
-
-
-def _spectral_defect(weight, degree, D, evals, vecs) -> DefectOperator:
-    """Clip check and square-root spectrum of a defect matrix D = V diag(evals) V*."""
+    if phases is not None:
+        D = D * np.outer(phases, phases.conj())
+        D = 0.5 * (D + D.conj().T)
+        vecs = phases[:, None] * vecs
     clip = float(max(0.0, -np.min(evals)))
     if clip > CLIP_LIMIT:
         raise ValueError(
@@ -245,14 +240,12 @@ def _spectral_defect(weight, degree, D, evals, vecs) -> DefectOperator:
             "the symbol violates the Schur bound or the truncation is too small"
             % clip
         )
-    clipped = np.clip(evals, 0.0, None)
-    sqrt_evals = np.sqrt(clipped)
     return DefectOperator(
         degree=int(degree),
         weight=weight,
         matrix=D,
         clip_magnitude=clip,
-        sqrt_eigenvalues=sqrt_evals,
+        sqrt_eigenvalues=np.sqrt(np.clip(evals, 0.0, None)),
         eigenvectors=vecs,
     )
 

@@ -24,7 +24,6 @@ DEFAULT_TOL = 1e-9
 JITTER_SCALE = 1e-12
 ORACLE_TOL = 1e-12
 REFUTATION_RADII = (0.5, 0.65, 0.8, 0.9, 0.95)
-SOLVE_BLOCK = 64
 FACTOR_BLOCK = 64
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -105,39 +104,38 @@ def _checked_tol(tol) -> float:
     return tol
 
 
-def _as_matrix(G) -> np.ndarray:
-    """The matrix of G, finite; an ndarray must also be square and Hermitian."""
+def _as_matrix(G) -> tuple[np.ndarray, float]:
+    """The matrix of G and its peak max |M_ij|, both finite.
+
+    An ndarray must also be square and Hermitian; it is returned as
+    (M + M*) * 0.5, with that matrix's peak. A Gram brings its own peak.
+    """
     is_gram = isinstance(G, GramMatrix)
     M = G.matrix if is_gram else np.asarray(G, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
         raise ValueError("expected a nonempty square matrix")
     if is_gram:
-        # A finite max |G_ij| certifies that every entry is finite.
-        if not math.isfinite(G.peak):
-            raise ValueError("matrix has non-finite entries")
-        return M
-    if not np.all(np.isfinite(M)):
+        sym, peak, asym = M, G.peak, 0.0
+    else:
+        # (M + M*) * 0.5, its peak and max |M - M*|, FACTOR_BLOCK rows at a
+        # time. Entries near the float limit overflow here; np.max keeps NaN.
+        n = len(M)
+        sym = np.empty((n, n), dtype=complex)
+        buffer = np.empty((min(n, FACTOR_BLOCK), n), dtype=complex)
+        asym = peak = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, n, FACTOR_BLOCK):
+                rows = M[s : s + FACTOR_BLOCK]
+                mirror = np.conjugate(M[:, s : s + FACTOR_BLOCK].T, out=buffer[: len(rows)])
+                strip = np.add(rows, mirror, out=sym[s : s + FACTOR_BLOCK])
+                np.multiply(strip, 0.5, out=strip)
+                peak = float(np.max((peak, np.max(np.abs(strip)))))
+                asym = max(asym, float(np.max(np.abs(np.subtract(rows, mirror, out=mirror)))))
+    if not math.isfinite(peak):
         raise ValueError("matrix has non-finite entries")
-    # (M + M*) * 0.5, max |M - M*| and max |M|, FACTOR_BLOCK rows at a time.
-    # Entries near the float limit overflow here; the result is checked below.
-    n = len(M)
-    sym = np.empty((n, n), dtype=complex)
-    buffer = np.empty((min(n, FACTOR_BLOCK), n), dtype=complex)
-    asym = top = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, FACTOR_BLOCK):
-            rows = M[s : s + FACTOR_BLOCK]
-            mirror = np.conjugate(M[:, s : s + FACTOR_BLOCK].T, out=buffer[: len(rows)])
-            strip = np.add(rows, mirror, out=sym[s : s + FACTOR_BLOCK])
-            np.multiply(strip, 0.5, out=strip)
-            asym = max(asym, float(np.max(np.abs(np.subtract(rows, mirror, out=mirror)))))
-            top = max(top, float(np.max(np.abs(rows))))
-    scale = max(1.0, top)
-    if asym > 1e-9 * scale:
+    if asym > 1e-9 * max(1.0, peak):
         raise ValueError("matrix is not Hermitian (deviation %.3g)" % asym)
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("matrix has non-finite entries")
-    return sym
+    return sym, peak
 
 
 def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
@@ -229,8 +227,8 @@ def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
     blocks = _angle_blocks(G, tol) if isinstance(G, GramMatrix) else None
     if blocks is not None:
         return _verdict(np.linalg.eigvalsh(blocks), tol)
-    M = _as_matrix(G)
-    decided = _certificate(M, tol, G.peak if isinstance(G, GramMatrix) else 0.0)
+    M, peak = _as_matrix(G)
+    decided = _certificate(M, tol, peak)
     if decided is None:
         return _verdict(np.linalg.eigvalsh(M), tol)
     return PsdVerdict(decided, tol, lambda: np.linalg.eigvalsh(M))
@@ -290,7 +288,7 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
       diagonal (``_cholesky_panels``), c = ``_cholesky_slack(diag, s)``:
       then lambda_min >= -s. s = tol max(1, rho_lo) / 2 <= t/2 with
       rho_lo = max(peak, max |M_ii|, tr M / n) <= rho, since |M_ij| and
-      the mean eigenvalue are at most rho; ``peak`` is max |M_ij| or 0.
+      the mean eigenvalue are at most rho; ``peak`` is max |M_ij|.
       It is tried only when s > c, so never at tol = 0.
 
     Either certificate leaves a margin of t/2 or more, so the rule read
@@ -391,15 +389,15 @@ def _factor_block_column(panel: np.ndarray, lowers: list, gather: np.ndarray) ->
 def _solve_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Overwrite X with L^-1 X, for a stack of lower-triangular L; return X.
 
-    Blocked forward substitution, SOLVE_BLOCK rows at a time: a block's
+    Blocked forward substitution, FACTOR_BLOCK rows at a time: a block's
     rows lose their product with the rows already solved, then one
     ``np.linalg.solve`` on the diagonal block finishes them. The products
     are matrix products, so a dense pencil runs at BLAS speed, and a stack
     no larger than one block is exactly one batched ``np.linalg.solve``.
     """
     n = L.shape[-1]
-    for s in range(0, n, SOLVE_BLOCK):
-        e = min(s + SOLVE_BLOCK, n)
+    for s in range(0, n, FACTOR_BLOCK):
+        e = min(s + FACTOR_BLOCK, n)
         rhs = X[:, s:e]
         if s:
             rhs -= L[:, s:e, :s] @ X[:, :s]
@@ -460,9 +458,12 @@ def _dominance(gram1: GramMatrix, gram2: GramMatrix, tol: float) -> DominanceRep
         or not certified
         or not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2)))
     ):
-        lo, spectral = _least_and_norm(np.linalg.eigvalsh(G2))
-        if not lo >= -tol * max(1.0, spectral):
-            raise ValueError("dominating kernel is not PSD on the grid (min eigenvalue %.3g)" % lo)
+        verdict = _verdict(np.linalg.eigvalsh(G2), tol)
+        if not verdict.is_psd:
+            raise ValueError(
+                "dominating kernel is not PSD on the grid (min eigenvalue %.3g)"
+                % verdict.min_eigenvalue
+            )
     if singular is not None:
         raise np.linalg.LinAlgError(
             "Gram matrix of the dominating kernel is numerically singular even "

@@ -19,11 +19,13 @@ from diskkernels import (
     SpaceWeight,
     TaylorPolynomial,
     defect,
+    taylor_coefficients,
     kernel_section_taylor,
     toeplitz_analytic,
     weighted_bergman_coefficients,
 )
 from diskkernels import operators
+from diskkernels.functions import axis_phases
 
 OMEGA = cmath.exp(0.7j)
 
@@ -138,6 +140,35 @@ def test_route_matches_direct_formula(name, alpha, eigh_dtypes):
     rebuilt = (vecs * op.sqrt_eigenvalues**2) @ vecs.conj().T
     np.testing.assert_allclose(rebuilt, op.matrix, rtol=0, atol=1e-12)
     assert op.clip_magnitude <= 1e-12
+
+
+def former_real_route(b, weight, degree):
+    """The real route of ``defect`` as its own branch ran it, verbatim."""
+    omega, g = b.reflection_axis()
+    coeffs = taylor_coefficients(g, degree)
+    T = operators._toeplitz_fill(coeffs.real, weight, degree)
+    D = np.eye(degree + 1) - T @ T.T
+    D = 0.5 * (D + D.T)
+    evals, vecs = np.linalg.eigh(D)
+    phases = axis_phases(omega, degree)
+    D = D * np.outer(phases, phases.conj())
+    D = 0.5 * (D + D.conj().T)
+    return D, evals, phases[:, None] * vecs
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.5])
+@pytest.mark.parametrize("N", [16, 128])
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_route_keeps_the_bits_of_its_former_branch(name, N, alpha, eigh_dtypes):
+    b = SYMMETRIC[name]
+    weight = SpaceWeight.for_degree(alpha, N)
+    op = defect(b, weight, N)
+    assert eigh_dtypes == [np.float64]
+    D, evals, vecs = former_real_route(b, weight, N)
+    assert op.matrix.tobytes() == D.tobytes()
+    assert op.eigenvectors.tobytes() == vecs.tobytes()
+    assert op.sqrt_eigenvalues.tobytes() == np.sqrt(np.clip(evals, 0.0, None)).tobytes()
+    assert op.clip_magnitude == float(max(0.0, -np.min(evals)))
 
 
 @pytest.mark.parametrize("N", [128, 512])

@@ -28,7 +28,7 @@ from diskkernels import (
     sample_grid,
 )
 from diskkernels import psd
-from diskkernels.psd import DEFAULT_TOL, JITTER_SCALE, SOLVE_BLOCK, _angle_blocks, _solve_lower
+from diskkernels.psd import DEFAULT_TOL, FACTOR_BLOCK, JITTER_SCALE, _angle_blocks, _solve_lower
 
 
 def _lower_stack(rng, count, n):
@@ -46,7 +46,7 @@ def _relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("n", [1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 200])
+@pytest.mark.parametrize("n", [1, FACTOR_BLOCK - 1, FACTOR_BLOCK, FACTOR_BLOCK + 1, 200])
 def test_solve_lower_matches_scipy_on_one_matrix(n):
     rng = np.random.default_rng(n)
     L = _lower_stack(rng, 1, n)
@@ -130,8 +130,8 @@ def _former_solve_lower(L, B):
     """The solve into a new array, as the pencil ran it before it ran in place."""
     n = L.shape[-1]
     X = np.empty(B.shape, dtype=np.result_type(L, B))
-    for s in range(0, n, SOLVE_BLOCK):
-        e = min(s + SOLVE_BLOCK, n)
+    for s in range(0, n, FACTOR_BLOCK):
+        e = min(s + FACTOR_BLOCK, n)
         rhs = B[:, s:e]
         if s:
             rhs = rhs - L[:, s:e, :s] @ X[:, :s]

@@ -280,7 +280,7 @@ def test_symmetrized_ndarray_keeps_its_bits(n):
     M[zeros | zeros.T] = -0.0
     M[0, -1] += 1e-13j  # a deviation below the Hermitian tolerance
     M[-1, -1] = complex(5e-324, -0.0)
-    assert psd._as_matrix(M).tobytes() == _old_symmetrized(M).tobytes()
+    assert psd._as_matrix(M)[0].tobytes() == _old_symmetrized(M).tobytes()
 
 
 def test_symmetrized_ndarray_still_refuses_overflow_and_asymmetry():
@@ -293,6 +293,67 @@ def test_symmetrized_ndarray_still_refuses_overflow_and_asymmetry():
         M[-1, 0] = 1e-3
         with pytest.raises(ValueError, match="matrix is not Hermitian"):
             psd._as_matrix(M)
+
+
+def test_certificate_reads_the_peak_of_the_tested_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = FACTOR_BLOCK + 3
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M = M + M.conj().T + 3.0 * np.eye(n)
+    M[2, -1] += 1e-12j  # a deviation below the Hermitian tolerance
+    peaks = []
+    certificate = psd._certificate
+    monkeypatch.setattr(
+        psd, "_certificate", lambda M, tol, peak: peaks.append(peak) or certificate(M, tol, peak)
+    )
+    is_psd(M)
+    assert peaks == [float(np.max(np.abs(_old_symmetrized(M))))]
+    G = gram(Szego(), sample_grid(RandomGrid(90, 0.9, 1)))
+    is_psd(G)
+    assert peaks[1] == G.peak
+
+
+NON_FINITE = {
+    "nan": complex(np.nan, 0.0),
+    "inf": complex(np.inf, 0.0),
+    "-inf": complex(-np.inf, 0.0),
+    "inf+nanj": complex(np.inf, np.nan),
+}
+N_EDGE = FACTOR_BLOCK + 3
+# Positions in two different row strips.
+PLACES = {
+    "diagonal": [(N_EDGE - 1, N_EDGE - 1)],
+    "above": [(2, N_EDGE - 1)],
+    "below": [(N_EDGE - 1, 2)],
+    "both": [(2, N_EDGE - 1), (N_EDGE - 1, 2)],
+}
+
+
+@pytest.mark.parametrize("place", sorted(PLACES))
+@pytest.mark.parametrize("value", sorted(NON_FINITE))
+def test_non_finite_ndarray_is_refused_without_a_warning(value, place):
+    M = np.eye(N_EDGE, dtype=complex)
+    for i, j in PLACES[place]:
+        M[i, j] = NON_FINITE[value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            is_psd(M)
+
+
+@pytest.mark.parametrize(
+    "mirror", [1e308 - 1e308j, 1e308 + 1e308j], ids=["hermitian", "asymmetric"]
+)
+def test_overflowing_symmetrized_sum_is_refused_as_non_finite(mirror):
+    # Both entries are finite; their sum in (M + M*) * 0.5 overflows. In the
+    # asymmetric case |M - M*| overflows too, and the peak decides first.
+    M = np.eye(N_EDGE, dtype=complex)
+    M[2, N_EDGE - 1] = 1e308 + 1e308j
+    M[N_EDGE - 1, 2] = mirror
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            is_psd(M)
 
 
 def test_symmetrized_ndarray_is_made_a_strip_at_a_time():

@@ -1,6 +1,8 @@
 """Each report is built in one place: the library value, the CLI output and
 the theorem-check details must agree bit for bit."""
 
+import ast
+import inspect
 import json
 from types import ModuleType
 
@@ -15,11 +17,11 @@ from diskkernels import (
     TaylorPolynomial,
     WeightedBergman,
     dominance_delta_min,
-    ratio_sup_estimate,
     ratio_table,
     sample_grid,
     verify_equality_converse,
 )
+from diskkernels import operators, psd
 from diskkernels.cli import main
 from diskkernels.specs import parse_grid
 
@@ -45,7 +47,7 @@ def test_ratio_table_is_the_cli_table_and_the_converse_table(capsys, b, spec):
         capsys, "ratio", "--b", spec, "--radii", "0.999,0.5,0.9", "--angles", "17"
     )
     assert cli["values"] == table
-    assert cli["sup"] == max(table) == ratio_sup_estimate(b, radii, angles)
+    assert cli["sup"] == max(table) == max(ratio_table(b, radii, angles))
     details = verify_equality_converse(b, radii, angles).details[0]
     assert details["values"] == ratio_table(b, sorted(radii), angles)
     assert details["reference_at_half"] == table[1]
@@ -74,3 +76,35 @@ def test_package_exports_no_submodules():
     exported = [getattr(diskkernels, name) for name in diskkernels.__all__]
     assert not any(isinstance(obj, ModuleType) for obj in exported)
     assert "dominance_delta_min" in diskkernels.__all__
+
+
+def _calls(function, callee):
+    """The calls in a function's source whose callee reads ``callee``."""
+    tree = ast.parse(inspect.getsource(function))
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == callee
+    ]
+
+
+def test_dense_hermitian_steps_are_written_once():
+    psd_tree = ast.parse(inspect.getsource(psd))
+    assigned = {
+        target.id
+        for node in ast.walk(psd_tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert "FACTOR_BLOCK" in assigned and "SOLVE_BLOCK" not in assigned
+    assert not _calls(psd._as_matrix, "np.isfinite")
+    # _dominance reads G2's spectrum through _verdict's rule, not its own.
+    spectral_rules = [
+        call
+        for call in _calls(psd._dominance, "max")
+        if any(isinstance(arg, ast.Name) and arg.id == "spectral" for arg in call.args)
+    ]
+    assert not spectral_rules and not _calls(psd._dominance, "_least_and_norm")
+    assert len(_calls(psd._dominance, "_verdict")) == 1
+    assert len(_calls(operators.defect, "np.linalg.eigh")) == 1
