@@ -12,6 +12,7 @@ symbol in the tree is not c z^k (its ``monomial()`` is None).
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import threading
@@ -32,7 +33,9 @@ GRAM_STRIP_ENTRIES = 1 << 16
 # Largest dense complex n x n matrix a grid or truncation degree may ask for
 # (n = 4096, 256 MiB). Beside its two Grams a dense dominance pencil holds at
 # most three such matrices at once; a certified PSD check holds about half of
-# one, and one more for the symmetrized copy of an ndarray.
+# one, and one more for the symmetrized copy of an ndarray. A Gram of the
+# rotation route holds none until its ``matrix`` is read: its strips in
+# flight and its first columns come to about a quarter of one at n = 1600.
 MAX_DENSE_BYTES = 1 << 28
 
 
@@ -410,6 +413,12 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
+    def _without_spec(self) -> "PointSet":
+        """These points with no grid spec, not checked again: their Grams are dense."""
+        bare = copy.copy(self)
+        object.__setattr__(bare, "spec", None)
+        return bare
+
 
 def sample_grid(spec: GridSpec) -> PointSet:
     """Materialize a grid spec into a PointSet (deterministic for a fixed spec)."""
@@ -488,30 +497,61 @@ def default_grid() -> PointSet:
     return sample_grid(RadialGrid(radii=(0.2, 0.4, 0.6, 0.8, 0.9), angles=16))
 
 
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Hermitian-symmetrized kernel Gram matrix over a point set.
 
     ``peak`` is max |G_ij|, NaN when an entry is NaN; ``gram`` fills it
     during assembly, and a GramMatrix built directly computes it.
+    ``diagonal`` holds the G_ii.
+
+    A Gram that ``gram`` assembles on the rotation route holds no n x n
+    matrix: its first read of ``matrix`` assembles it off the route, with
+    the same bits. What the route reads is kept instead, as ``_circulant``
+    = (first, dev2): the first column of each A x A block as an (R, A, R)
+    array, and ||G - C||_F^2 for the block-circulant C they define (see
+    ``_circulant_window``). Any other Gram has ``_circulant`` None.
     """
 
-    matrix: np.ndarray
-    point_set: PointSet
-    kernel: KernelExpr
-    asymmetry: float
-    peak: Optional[float] = None
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        if self.peak is None:
+    def __init__(self, matrix, point_set, kernel, asymmetry, peak=None):
+        matrix.setflags(write=False)
+        if peak is None:
             with np.errstate(all="ignore"):
-                peak = float(np.max(np.abs(self.matrix), initial=0.0))
-            object.__setattr__(self, "peak", peak)
+                peak = float(np.max(np.abs(matrix), initial=0.0))
+        self._matrix = matrix
+        self.point_set = point_set
+        self.kernel = kernel
+        self.asymmetry = asymmetry
+        self.peak = peak
+        self._diagonal = None
+        self._circulant = None
+
+    @classmethod
+    def _routed(cls, point_set, kernel, asymmetry, peak, diagonal, circulant):
+        """A Gram of the rotation route; ``matrix`` is assembled when first read."""
+        G = cls.__new__(cls)
+        diagonal.setflags(write=False)
+        G._matrix = None
+        G.point_set = point_set
+        G.kernel = kernel
+        G.asymmetry = asymmetry
+        G.peak = peak
+        G._diagonal = diagonal
+        G._circulant = circulant
+        return G
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _gram(self.kernel, self.point_set, None).matrix
+        return self._matrix
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal() if self._diagonal is None else self._diagonal
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self._diagonal is None else len(self._diagonal)
 
 
 def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
@@ -539,12 +579,65 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     W the CPUs the process may run on (``_gram_workers``, ``_strip_plan``),
     and G, its asymmetry and its peak have the same bits for any W (see
     ``_run_strips``).
+
+    On the rotation route (``_circulant_shape``) a Gram of more than one
+    strip allocates no n x n matrix at all. The first column of each A x A
+    block is evaluated first, 2 R n entries (``_first_columns``). Each
+    strip then keeps its upper rows only while ``_circulant_rows``
+    compares them with the block-circulant C they define, and leaves the
+    diagonal and each row's share of ||G - C||_F^2, which sum to the same
+    value for any W; L only serves Y*. The GramMatrix keeps those, and
+    builds ``matrix`` by the dense assembly when it is first read.
+    """
+    return _gram(kernel, points, _circulant_shape(kernel, points))
+
+
+def _circulant_shape(kernel: KernelExpr, points: PointSet) -> Optional[tuple]:
+    """(R, A) when a Gram of the kernel on the points takes the rotation route, else None.
+
+    The points must come from ``sample_grid`` on a radial grid of R radii
+    and A angles, and the kernel must be rotation-invariant: one whose
+    ``diagonal_series`` exists, every symbol in it being c z^k. Its Gram is
+    then an R x R array of A x A blocks that are circulant up to rounding.
+    """
+    grid = points.spec
+    if not isinstance(grid, RadialGrid) or grid.size != len(points):
+        return None
+    if not hasattr(kernel, "diagonal_series"):
+        return None
+    try:
+        kernel.diagonal_series(0)
+    except ValueError:
+        return None
+    return len(grid.radii), grid.angles
+
+
+def _gram(kernel: KernelExpr, points: PointSet, shape: Optional[tuple]) -> GramMatrix:
+    """``gram`` on the rotation route for a ``shape`` (R, A), densely for None.
+
+    A Gram of one strip, or of fewer than 5 angles, is dense either way, and
+    ``psd._angle_blocks`` reads the route's columns off its matrix: one
+    strip is the whole matrix at once, and with few angles the route would
+    hold more than the matrix.
     """
     n = len(points)
     check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
     rows, threads = _strip_plan(n, _gram_workers())
-    sym = np.empty((n, n), dtype=complex)
+    # The route holds the first columns and their windows, R n + 2 R^2
+    # (2 A - 1) entries, in place of the n^2 of the matrix: fewer from A = 5.
+    routed = shape is not None and rows < n and shape[1] >= 5
+    if routed:
+        A = shape[1]
+        first = _first_columns(kernel, arr, A)
+        window, drop = _circulant_window(first), _circulant_drop(A)
+        diagonal = np.empty(n, dtype=complex)
+        dev2 = np.empty(n)
+        # One room per thread, reused strip after strip: a strip's padded
+        # rows, and twice that for Y* and then the terms of _circulant_rows.
+        rooms = list(np.empty((threads, 3, rows * n), dtype=complex))
+    else:
+        sym = np.empty((n, n), dtype=complex)
     starts = range(0, n, rows)
     asyms = np.empty(len(starts))
     peaks = np.empty(len(starts))
@@ -554,20 +647,36 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
         e = min(s + rows, n)
         h = e - s
         X = np.asarray(kernel.eval(arr[s:e, None], arr[None, s:]), dtype=complex)
-        Yh = np.empty_like(X)
+        if routed:
+            # The rows from the first column of their first radius on.
+            room = rooms.pop()
+            c0 = s - s % A
+            padded = room[0, : h * (n - c0)].reshape(h, n - c0)
+            padded[:, : s - c0] = 0.0
+            upper = padded[:, s - c0 :]
+            spare = room[1:].reshape(-1)[: 2 * padded.size]
+            Yh = spare[: X.size].reshape(X.shape)
+        else:
+            upper = sym[s:e, s:]
+            Yh = np.empty_like(X)
         np.conjugate(X[:, :h].T, out=Yh[:, :h])
         if e < n:
             L = np.asarray(kernel.eval(arr[e:, None], arr[None, s:e]), dtype=complex)
             np.conjugate(L.T, out=Yh[:, h:])
-            lower = sym[e:, s:e]
-            np.conjugate(X[:, h:].T, out=lower)
-            np.add(L, lower, out=lower)
-            np.multiply(lower, 0.5, out=lower)
-        upper = sym[s:e, s:]
+            if not routed:
+                lower = sym[e:, s:e]
+                np.conjugate(X[:, h:].T, out=lower)
+                np.add(L, lower, out=lower)
+                np.multiply(lower, 0.5, out=lower)
         np.add(X, Yh, out=upper)
         np.multiply(upper, 0.5, out=upper)
         peaks[k] = np.max(np.abs(upper))
         asyms[k] = np.max(np.abs(np.subtract(X, Yh, out=Yh)))
+        if routed:
+            X = Yh = L = None
+            diagonal[s:e] = upper.diagonal()
+            dev2[s:e] = _circulant_rows(window, drop, padded, s, spare)
+            rooms.append(room)
 
     _run_strips(strip, len(starts), threads)
     asym, peak = float(np.max(asyms)), float(np.max(peaks))
@@ -578,9 +687,119 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
         raise ValueError(
             "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym
         )
+    if routed:
+        return GramMatrix._routed(
+            points, kernel, asym, peak, diagonal, (first, float(np.sum(dev2)))
+        )
     return GramMatrix(
         matrix=sym, point_set=points, kernel=kernel, asymmetry=asym, peak=peak
     )
+
+
+def _first_columns(kernel: KernelExpr, arr: np.ndarray, A: int) -> np.ndarray:
+    """G[:, b A] for each radius b, the first columns of the A x A blocks, as (R, A, R).
+
+    K(p_bA, p) and K(p, p_bA) are evaluated for all points p, 2 R n
+    entries, the first with every point in w, as in the first strip, and
+    symmetrized by the strips' expression, so each entry has their bits.
+    Non-finite values are left for the strips to report.
+    """
+    cols = arr[::A]
+    R = len(cols)
+    with np.errstate(all="ignore"):
+        top = np.asarray(kernel.eval(cols[:, None], arr[None, :]), dtype=complex)
+        left = np.asarray(kernel.eval(arr[:, None], cols[None, :]), dtype=complex)
+        first = np.add(left, np.conjugate(top).T, out=np.empty_like(left))
+        np.multiply(first, 0.5, out=first)
+    return first.reshape(R, A, R)
+
+
+def _circulant_window(first: np.ndarray) -> np.ndarray:
+    """The block-circulant matrix C of first columns ``first`` (R, A, R), as zero-copy windows.
+
+    C[(a, p), (b, q)] = first[a, (p - q) mod A, b] on the points a A + p.
+    With E, first[:, 1:] followed by first along axis 1, E[a, k] =
+    first[a, (k - A + 1) mod A]. F[0, a, b] is E[a, :, b] reversed and
+    F[1, a, b] is conj(E[b, :, a]), so the length-A windows of F along its
+    last axis, starting A - 1 - p entries in, give the (2, R, A, R, A) view
+
+        W[0, a, p, b, q] = C[(a, p), (b, q)],
+        W[1, a, p, b, q] = conj(C[(b, q), (a, p)]),
+
+    as ``operators._toeplitz_fill`` builds a Toeplitz matrix. Along q both
+    step one entry forward.
+    """
+    R, A = first.shape[:2]
+    E = np.concatenate((first[:, 1:], first), axis=1)
+    F = np.empty((2, R, R, 2 * A - 1), dtype=complex)
+    F[0] = E[:, ::-1].transpose(0, 2, 1)
+    np.conjugate(E.transpose(2, 0, 1), out=F[1])
+    windows = np.lib.stride_tricks.sliding_window_view(F, A, axis=3)
+    return windows.transpose(0, 1, 3, 2, 4)[:, :, ::-1]
+
+
+def _circulant_dev2(G4: np.ndarray) -> float:
+    """||G - C||_F^2 for G as an (R, A, R, A) array, summed one radius at a time.
+
+    C is the block-circulant matrix with G's first columns (see
+    ``_circulant_window``); each radius's rows take one ``np.vdot``.
+    """
+    C = _circulant_window(G4[:, :, :, 0])[0]
+    dev2 = 0.0
+    for a in range(len(G4)):
+        diff = np.subtract(G4[a], C[a], order="C")
+        dev2 += float(np.vdot(diff, diff).real)
+    return dev2
+
+
+def _circulant_drop(A: int) -> np.ndarray:
+    """drop[0, p, q] = q < p and drop[1, p, q] = q <= p, as a read-only (2, A, A) view.
+
+    Row p of a radius leaves out the columns q < p of its own A x A block,
+    and q <= p for the transposed term of ``_circulant_rows``. Row p of
+    drop[c] is the window from A - 1 - p on of A - 1 + c ones followed by
+    zeros, so the view holds 4 A entries.
+    """
+    ramp = np.arange(2 * A) < np.array([[A - 1], [A]])
+    return np.lib.stride_tricks.sliding_window_view(ramp, A, axis=1)[:, A - 1 :: -1]
+
+
+def _circulant_rows(
+    window: np.ndarray, drop: np.ndarray, padded: np.ndarray, s: int, spare: np.ndarray
+) -> np.ndarray:
+    """Each row's share of ||G - C||_F^2, for the rows s:s+h of a Gram.
+
+    ``window`` is ``_circulant_window`` of the first columns and ``drop``
+    is ``_circulant_drop(A)``. ``padded`` holds G's rows s:s+h from column
+    c0 on, c0 the first column of row s's radius, with zeros before column
+    s. ``spare``, of 2 ``padded.size`` entries, is scratch.
+
+    Row i's share is sum_(j >= i) |G_ij - C_ij|^2 + sum_(j > i) |G_ij -
+    conj(C_ji)|^2, the second term being |G_ji - C_ji|^2 as G is
+    Hermitian, so the shares of all rows add up to ||G - C||_F^2 and read
+    only G's upper triangle. The rows of each radius a take both terms in
+    one subtraction, on the columns from a A on, and the terms ``drop``
+    marks, left of each row's start, are set to zero. A row's terms then
+    depend only on the row, and so does its share, one ``np.einsum`` sum
+    over the row's two terms, whatever strips the rows are split into.
+    """
+    R, A = window.shape[1:3]
+    h, m = padded.shape
+    c0 = R * A - m
+    out = np.empty(h)
+    for a in range(s // A, (s + h - 1) // A + 1):
+        lo, hi = max(s, a * A), min(s + h, a * A + A)
+        p0, p1 = lo - a * A, hi - a * A
+        block = padded[lo - s : hi - s, a * A - c0 :].reshape(hi - lo, R - a, A)
+        terms = np.subtract(
+            block,
+            window[:, a, p0:p1, a:],
+            out=spare[: 2 * block.size].reshape((2,) + block.shape),
+        )
+        np.copyto(terms[:, :, 0], 0.0, where=drop[:, p0:p1])
+        terms = terms.reshape(2, hi - lo, -1).view(float)
+        np.einsum("kij,kij->i", terms, terms, out=out[lo - s : hi - s])
+    return out
 
 
 def _gram_workers() -> int:

@@ -17,7 +17,15 @@ import numpy as np
 
 from . import kernels as kx
 from .functions import ensure_finite
-from .kernels import GramMatrix, KernelExpr, PointSet, RadialGrid, gram, sample_grid
+from .kernels import (
+    GramMatrix,
+    KernelExpr,
+    PointSet,
+    RadialGrid,
+    _circulant_dev2,
+    gram,
+    sample_grid,
+)
 from .specs import format_kernel
 
 DEFAULT_TOL = 1e-9
@@ -150,43 +158,25 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     block. They are used only when the Gram is within
     ||G - C||_F <= 0.1 tol max(1, G.peak) of the block-circulant C rebuilt
     from those columns; by Weyl's inequality no eigenvalue then moves by
-    more than that.
+    more than that. A Gram of ``gram``'s rotation route brings its first
+    columns and ||G - C||_F^2; for any other they are read off its matrix.
     """
-    grid = G.point_set.spec
-    if not isinstance(grid, RadialGrid) or grid.size != G.size:
+    shape = kx._circulant_shape(G.kernel, G.point_set)
+    if shape is None or shape[0] * shape[1] != G.size:
         return None
     # A non-finite entry would leave inf - inf in G - C; _as_matrix refuses it.
     if not math.isfinite(G.peak):
         return None
-    try:
-        G.kernel.diagonal_series(0)
-    except ValueError:
+    if G._circulant is None:
+        R, A = shape
+        G4 = G.matrix.reshape(R, A, R, A)
+        first, dev2 = G4[:, :, :, 0], _circulant_dev2(G4)
+    else:
+        first, dev2 = G._circulant
+    if not math.sqrt(dev2) <= 0.1 * tol * max(1.0, G.peak):
         return None
-    R, A = len(grid.radii), grid.angles
-    G4 = G.matrix.reshape(R, A, R, A)
-    if not math.sqrt(_circulant_dev2(G4)) <= 0.1 * tol * max(1.0, G.peak):
-        return None
-    blocks = np.fft.fft(G4[:, :, :, 0], axis=1).transpose(1, 0, 2)
+    blocks = np.fft.fft(first, axis=1).transpose(1, 0, 2)
     return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
-
-
-def _circulant_dev2(G4: np.ndarray) -> float:
-    """||G - C||_F^2 for G as an (R, A, R, A) array, summed one radius at a time.
-
-    C is the block-circulant matrix with G's first columns, C[a, p, b, q] =
-    G4[a, (p - q) mod A, b, 0]. Window i of the reversed run first[a, 1:],
-    first[a] holds at j the column at lag (A - 1 - i + j) mod A, so the
-    flipped windows are C as a zero-copy view.
-    """
-    A = G4.shape[1]
-    first = G4[:, :, :, 0]
-    run = np.concatenate((first[:, 1:], first), axis=1)[:, ::-1]
-    C = np.lib.stride_tricks.sliding_window_view(run, A, axis=1)[:, ::-1]
-    dev2 = 0.0
-    for a in range(len(G4)):
-        diff = G4[a] - C[a]
-        dev2 += float(np.vdot(diff, diff).real)
-    return dev2
 
 
 def _least_and_norm(evals: np.ndarray) -> tuple[float, float]:
@@ -420,6 +410,10 @@ def dominance_delta_min(
     the pencil is solved as one R x R pencil per frequency.
     """
     tol = _checked_tol(tol)
+    # One kernel off the rotation route sends the pencil to the dense route,
+    # so then both Grams are assembled densely from the start.
+    if any(kx._circulant_shape(k, points) is None for k in (kernel1, kernel2)):
+        points = points._without_spec()
     return _dominance(gram(kernel1, points), gram(kernel2, points), tol)
 
 
@@ -434,7 +428,7 @@ def _dominance(gram1: GramMatrix, gram2: GramMatrix, tol: float) -> DominanceRep
         G1, G2 = blocks1, blocks2
     points = gram2.point_set
     n = len(points)
-    trace = float(np.trace(gram2.matrix).real)
+    trace = float(np.sum(gram2.diagonal).real)
     jitter = JITTER_SCALE * trace / n
     # The Cholesky of G2 + jitter I certifies G2 PSD when it completes with a
     # finite diagonal and jitter + c <= tol max(1, rho_lo) / 2 (see
@@ -548,7 +542,7 @@ def membership_check(
     # Overflow shows as non-finite entries, which is_psd rejects.
     with np.errstate(all="ignore"):
         v = _values_on(f, points.array)
-        test = c * c * gram(kernel, points).matrix
+        test = c * c * gram(kernel, points._without_spec()).matrix
         vh = v.conj()
         for s in range(0, len(v), FACTOR_BLOCK):
             test[s : s + FACTOR_BLOCK] -= np.outer(v[s : s + FACTOR_BLOCK], vh)
