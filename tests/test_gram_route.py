@@ -12,6 +12,7 @@ bits, for every worker count W, and the deviation must not depend on W.
 import functools
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,26 @@ def test_routed_cases_cover_every_invariant_kernel_and_split_grid():
     # Grams of one strip, and every other point set, are dense.
     for grid in ("radial-160", "random-481", "explicit-1025"):
         assert gram(kx.Szego(), POINT_SETS[grid])._circulant is None
+
+
+def test_strip_rooms_are_never_shared_between_threads(monkeypatch):
+    # Each thread takes a room (padded rows, Y* and terms) from a shared
+    # pool and returns it; two strips in one room would mix their rows.
+    points = POINT_SETS["radial-1025"]
+    kernel = parse_kernel("sum(szego,dbr[b=blaschke[0]])")
+    monkeypatch.setattr(kx, "_gram_workers", lambda: 1)
+    serial = gram(kernel, points)
+    monkeypatch.setattr(kx, "_gram_workers", lambda: 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            G = gram(kernel, points)
+            assert G.diagonal.tobytes() == serial.diagonal.tobytes()
+            assert _bits(G._circulant[1]) == _bits(serial._circulant[1])
+            assert _bits(G.peak) == _bits(serial.peak)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class _Counting:
