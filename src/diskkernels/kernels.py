@@ -624,9 +624,13 @@ def _gram(kernel: KernelExpr, points: PointSet, shape: Optional[tuple]) -> GramM
     check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
     rows, threads = _strip_plan(n, _gram_workers())
-    # The route holds the first columns and their windows, R n + 2 R^2
-    # (2 A - 1) entries, in place of the n^2 of the matrix: fewer from A = 5.
-    routed = shape is not None and rows < n and shape[1] >= 5
+    # The route holds the first columns and their windows in place of the
+    # matrix, R n + 2 R^2 (2 A - 1) entries against n^2: fewer from A = 5 on.
+    routed = (
+        shape is not None
+        and rows < n
+        and shape[0] * n + 2 * shape[0] ** 2 * (2 * shape[1] - 1) < n * n
+    )
     if routed:
         A = shape[1]
         first = _first_columns(kernel, arr, A)
