@@ -370,10 +370,28 @@ class RandomGrid:
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         check_dense_size(count, "a grid of %s points" % _fmt_count(count))
+        # Disks of diameter eps = MIN_SEPARATION around the points are disjoint
+        # and lie in the disk of radius rmax + eps / 2, so at most
+        # fit = ((2 rmax + eps) / eps)^2 points fit. Rejection sampling is
+        # random sequential adsorption, which jams once it covers 0.547 of the
+        # plane (Feder 1980); in a disk it stalls near fit / 2, so more points
+        # than that are refused.
+        eps = MIN_SEPARATION
+        fit = ((2.0 * rmax + eps) / eps) ** 2
+        if count > max(1.0, 0.5 * fit):
+            raise ValueError(_crowded_message(
+                self, "at most %d fit, and rejection sampling stalls above half of that" % fit
+            ))
 
     @property
     def size(self) -> int:
         return self.count
+
+
+def _crowded_message(spec: RandomGrid, reason: str) -> str:
+    return "cannot sample %s points %g apart within radius %r: %s" % (
+        _fmt_count(spec.count), MIN_SEPARATION, spec.rmax, reason
+    )
 
 
 GridSpec = Union[RadialGrid, RandomGrid]
@@ -469,11 +487,14 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
     MIN_SEPARATION from every point kept before it. Candidates are drawn
     as many at a time as points are missing; the first one too close to an
     earlier point is dropped, the draws after it move up, and the rest is
-    checked again.
+    checked again. Sampling gives up at the (64 count)-th refused draw:
+    ``RandomGrid`` refuses grids with more than half the points that fit,
+    and some grids below that still stall.
     """
     rng = np.random.default_rng(spec.seed)
     pts = np.empty(spec.count, dtype=complex)
     k = m = 0  # pts[:k] are kept; pts[k:k + m] are drawn and not yet checked
+    refused = 0
     while k < spec.count:
         if m == 0:
             m = spec.count - k
@@ -486,6 +507,9 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
         if crowded is None:
             k, m = k + m, 0
         else:
+            refused += 1
+            if refused == 64 * spec.count:
+                raise ValueError(_crowded_message(spec, "%d draws were refused" % refused))
             m -= crowded - k + 1
             k = crowded
             pts[k : k + m] = pts[k + 1 : k + 1 + m]

@@ -1,11 +1,16 @@
 """CLI input handling: unwritable output paths, non-Schur test functions,
-the dense-size limit on grids and truncation degrees, and the --seed flag."""
+the dense-size limit on grids and truncation degrees, random grids too
+crowded to sample, and the --seed flag."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import diskkernels
 from diskkernels import kernels
 from diskkernels.cli import main
 from diskkernels.formatting import _fmt_count, _fmt_gigabytes
@@ -241,6 +246,36 @@ NINES = "9" * 400
 def test_refused_sizes_name_the_gigabytes_they_need(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("random[n=2,rmax=4e-11,seed=1]", "2 points 1e-10 apart within radius 4e-11: "),
+        ("random[n=3,rmax=1e-300,seed=1]", "3 points 1e-10 apart within radius 1e-300: "),
+        ("random[n=300,rmax=1e-9,seed=1]", "300 points 1e-10 apart within radius 1e-09: "),
+        # Half the packing bound, but no two draws lie 1e-10 apart.
+        (
+            "random[n=2,rmax=5e-11,seed=1]",
+            "2 points 1e-10 apart within radius 5e-11: 128 draws were refused",
+        ),
+    ],
+    ids=["n=2,rmax=4e-11", "n=3,rmax=1e-300", "n=300,rmax=1e-9", "n=2,rmax=5e-11"],
+)
+def test_a_random_grid_too_crowded_to_sample_is_refused(grid, message):
+    # In a child with a timeout, since the sampler once redrew such grids forever.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diskkernels.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskkernels", "psd", "--kernel", "szego", "--grid", grid],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "cannot sample " + message in proc.stderr
 
 
 def test_gigabytes_print_as_percent_g_on_both_sides_of_the_float_range():

@@ -7,6 +7,13 @@ matrix as a strided view. The whole-matrix evaluation and symmetrization
 and the per-radius deviation loop they replace are kept below verbatim as
 the reference. Every matrix, asymmetry, peak, deviation, error message and
 route choice must be bit-identical to it.
+
+This file also checks routed Grams (``tests/test_gram_route.py``) against the
+dense assembly. A routed Gram keeps no matrix, so its diagonal, peak,
+asymmetry and route blocks are compared with the reference before its
+``matrix`` is read, and its blocks with those of a Gram built on the
+reference matrix; the reference has the bits of the dense assembly, as the
+``explicit-*`` cases show at every W. Each case assembles its Gram once.
 """
 
 import functools
@@ -53,8 +60,8 @@ def _reference_gram(kernel, points):
     return sym, asym, peak
 
 
-def _reference_check(G, tol):
-    """(dev2, routed) of the per-radius loop over the gathered circulant."""
+def _reference_check(G):
+    """(dev2, peak) of the per-radius loop over the gathered circulant."""
     grid = G.point_set.spec
     R, A = len(grid.radii), grid.angles
     G4 = G.matrix.reshape(R, A, R, A)
@@ -67,7 +74,7 @@ def _reference_check(G, tol):
         diff = G4[a] - first[a][lag].transpose(0, 2, 1)
         dev2 += float(np.vdot(diff, diff).real)
         peak = max(peak, float(np.max(np.abs(G4[a]))))
-    return dev2, math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak)
+    return dev2, peak
 
 
 def _bits(x: float) -> bytes:
@@ -154,25 +161,37 @@ def _assert_reference_bits(G, expected):
     assert _bits(G.peak) == _bits(peak)
 
 
-def _check_route(G, tol):
-    blocks = _angle_blocks(G, tol)
+TOLERANCES = (DEFAULT_TOL, 0.0, 1e-3)
+
+
+def _check_route(G, tols=TOLERANCES):
+    """The route's blocks of G at each tolerance, each route choice checked
+    against the reference loop, which runs once for all of them."""
+    blocks = [_angle_blocks(G, tol) for tol in tols]
     spec = G.point_set.spec
     if not (isinstance(spec, RadialGrid) and _invariant(G.kernel)):
-        assert blocks is None
-        return
+        assert all(b is None for b in blocks)
+        return blocks
     R, A = len(spec.radii), spec.angles
-    dev2, routed = _reference_check(G, tol)
+    dev2, peak = _reference_check(G)
     ours = _circulant_dev2(G.matrix.reshape(R, A, R, A))
     assert _bits(ours) == _bits(dev2) or (math.isnan(ours) and math.isnan(dev2))
-    assert (blocks is not None) == routed
+    for tol, b in zip(tols, blocks):
+        assert (b is not None) == (math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak))
+    return blocks
+
+
+def _routed(text, grid):
+    """Whether ``gram`` assembles the case on the rotation route, keeping no matrix."""
+    return grid in SPLIT and kx._circulant_shape(parse_kernel(text), POINT_SETS[grid]) is not None
 
 
 def _cases():
     """(text, grid, W) for every kernel on every point set at the W of this
     machine, then, for a Gram of more than one strip, at each W in WORKERS.
 
-    The cases of one (text, grid) are consecutive, so ``_reference`` builds
-    each reference once.
+    The cases of one (text, grid) are consecutive, so ``_reference`` and
+    ``_dense`` build each reference once.
     """
     for text in KERNELS:
         for grid in POINT_SETS:
@@ -187,15 +206,50 @@ def _reference(text, grid):
     return _reference_gram(parse_kernel(text), POINT_SETS[grid])
 
 
+@functools.lru_cache(maxsize=1)
+def _dense(text, grid):
+    """The dense side of a routed case: the route blocks, at each tolerance,
+    of a Gram built on the reference matrix, its deviation, and a slot for
+    the routed deviation of the first W."""
+    matrix, asym, _ = _reference(text, grid)
+    points = POINT_SETS[grid]
+    D = GramMatrix(matrix=matrix, point_set=points, kernel=parse_kernel(text), asymmetry=asym)
+    R, A = len(points.spec.radii), points.spec.angles
+    return _check_route(D), _circulant_dev2(matrix.reshape(R, A, R, A)), {}
+
+
 @pytest.mark.parametrize("text, grid, w", _cases())
 def test_gram_and_route_match_the_reference(text, grid, w, monkeypatch):
     if w is not None:
         # Assembled by W - 1 helper threads and the calling one.
         monkeypatch.setattr(kx, "_gram_workers", lambda: w)
     G = gram(parse_kernel(text), POINT_SETS[grid])
-    _assert_reference_bits(G, _reference(text, grid))
-    for tol in (DEFAULT_TOL, 0.0, 1e-3):
-        _check_route(G, tol)
+    if not _routed(text, grid):
+        _assert_reference_bits(G, _reference(text, grid))
+        _check_route(G)
+        return
+    # A routed Gram holds no matrix until it is read; what it keeps has the
+    # bits of the reference, and its route the bits of the dense route.
+    matrix, asym, peak = _reference(text, grid)
+    dense_blocks, dev2, seen = _dense(text, grid)
+    assert G._matrix is None and G._circulant is not None
+    assert _bits(G.peak) == _bits(peak)
+    assert _bits(G.asymmetry) == _bits(asym)
+    assert G.diagonal.tobytes() == matrix.diagonal().tobytes()
+    for tol, dense in zip(TOLERANCES, dense_blocks):
+        routed = _angle_blocks(G, tol)
+        assert (routed is None) == (dense is None)
+        if routed is not None:
+            assert routed.tobytes() == dense.tobytes()
+    # The stored deviation is the same sum in another order ...
+    ours = G._circulant[1]
+    assert ours == pytest.approx(dev2, rel=1e-12, abs=1e-300)
+    # ... with the same bits for every W.
+    assert _bits(seen.setdefault("dev2", ours)) == _bits(ours)
+    # The matrix is read once per kernel and grid: the explicit-* cases
+    # check the dense assembly against the reference at every W.
+    if w is None:
+        assert G.matrix.tobytes() == matrix.tobytes()
 
 
 def test_every_node_kind_and_both_routes_are_covered():
@@ -266,8 +320,7 @@ def test_asymmetric_eval_raises_or_passes_as_the_reference(n, skew):
     _check_against_reference(_Planted(skew=skew), POINT_SETS["random-%d" % n])
     G = _check_against_reference(_Planted(skew=skew), POINT_SETS["radial-%d" % n])
     if G is not None:
-        for tol in (DEFAULT_TOL, 0.0):
-            _check_route(G, tol)
+        _check_route(G, (DEFAULT_TOL, 0.0))
 
 
 def _direct(G, matrix):
@@ -299,8 +352,7 @@ def test_directly_built_grams_compute_their_peak(n):
         # inf - inf in the reference deviation warns; the route check in
         # is_psd skips a matrix whose peak is not finite.
         with np.errstate(invalid="ignore"):
-            for tol in (DEFAULT_TOL, 0.0, 1e-3):
-                _check_route(D, tol)
+            _check_route(D)
         if not math.isfinite(expected):
             assert _angle_blocks(D, DEFAULT_TOL) is None
             with pytest.raises(ValueError, match="non-finite"):

@@ -3,13 +3,16 @@
 On a ``sample_grid`` radial grid a rotation-invariant kernel's Gram of more
 than one strip is assembled without its matrix: ``kernels.gram`` keeps the
 first column of each A x A block, the diagonal, the peak, the asymmetry and
-||G - C||_F^2, and builds ``matrix`` densely when it is first read. The
-dense assembly (``kernels._gram(kernel, points, None)``) is the reference:
-everything a routed Gram keeps, and everything read off it, must have its
-bits, for every worker count W, and the deviation must not depend on W.
+||G - C||_F^2, and builds ``matrix`` densely when it is first read.
+
+``tests/test_gram_assembly.py`` checks each routed Gram against the dense
+assembly: its routed cases of ``test_gram_and_route_match_the_reference``
+assemble the Gram once per worker count W, and compare everything it keeps,
+and everything read off it, with the whole-matrix reference and with the
+route of a Gram built on that matrix. This file checks that those cases
+cover every invariant kernel, and what the route evaluates, holds and raises.
 """
 
-import functools
 import math
 import struct
 import sys
@@ -24,69 +27,20 @@ from diskkernels.kernels import PointSet, RadialGrid, gram, sample_grid
 from diskkernels.psd import (
     DEFAULT_TOL,
     _angle_blocks,
-    _circulant_dev2,
     dominance_delta_min,
     is_psd,
     membership_check,
 )
 from diskkernels.specs import parse_function, parse_grid, parse_kernel
-from test_gram_assembly import KERNELS, POINT_SETS, _cases, _leaves_the_ball
+from test_gram_assembly import KERNELS, POINT_SETS, _cases, _leaves_the_ball, _routed
 
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def _routed_cases():
-    """The cases of ``test_gram_and_route_match_the_reference`` whose Gram is routed."""
-    for case in _cases():
-        text, grid, w = case.values
-        shape = kx._circulant_shape(parse_kernel(text), POINT_SETS[grid])
-        if shape is not None and len(POINT_SETS[grid]) ** 2 > kx.GRAM_STRIP_ENTRIES:
-            yield case
-
-
-@functools.lru_cache(maxsize=1)
-def _dense(text, grid):
-    """The dense assembly, its deviation, its route per tolerance and a slot
-    for the first routed deviation, once per kernel and grid (the cases of
-    one kernel and grid are consecutive)."""
-    D = kx._gram(parse_kernel(text), POINT_SETS[grid], None)
-    spec = POINT_SETS[grid].spec
-    R, A = len(spec.radii), spec.angles
-    blocks = {tol: _angle_blocks(D, tol) for tol in TOLERANCES}
-    return D, _circulant_dev2(D.matrix.reshape(R, A, R, A)), blocks, {}
-
-
-TOLERANCES = (DEFAULT_TOL, 0.0, 1e-3)
-
-
-@pytest.mark.parametrize("text, grid, w", _routed_cases())
-def test_routed_gram_keeps_the_bits_of_the_dense_assembly(text, grid, w, monkeypatch):
-    if w is not None:
-        monkeypatch.setattr(kx, "_gram_workers", lambda: w)
-    D, dev2, dense_blocks, seen = _dense(text, grid)
-    G = gram(parse_kernel(text), POINT_SETS[grid])
-    assert G._matrix is None and G._circulant is not None
-    assert _bits(G.peak) == _bits(D.peak)
-    assert _bits(G.asymmetry) == _bits(D.asymmetry)
-    assert G.diagonal.tobytes() == D.diagonal.copy().tobytes()
-    for tol in TOLERANCES:
-        routed, dense = _angle_blocks(G, tol), dense_blocks[tol]
-        assert (routed is None) == (dense is None)
-        if routed is not None:
-            assert routed.tobytes() == dense.tobytes()
-    # The stored deviation is the same sum in another order ...
-    ours = G._circulant[1]
-    assert ours == pytest.approx(dev2, rel=1e-12, abs=1e-300)
-    # ... with the same bits for every W.
-    assert _bits(seen.setdefault("dev2", ours)) == _bits(ours)
-    if w is None:
-        assert G.matrix.tobytes() == D.matrix.tobytes()
-
-
 def test_routed_cases_cover_every_invariant_kernel_and_split_grid():
-    cases = {(c.values[0], c.values[1]) for c in _routed_cases()}
+    cases = {(c.values[0], c.values[1]) for c in _cases() if _routed(*c.values[:2])}
     invariant = [t for t in KERNELS if kx._circulant_shape(parse_kernel(t), POINT_SETS["radial-481"])]
     assert len(invariant) >= 10
     assert cases == {(t, g) for t in invariant for g in ("radial-481", "radial-1025")}

@@ -1,5 +1,10 @@
 """Closed-form kernel values, kernel algebra, grids, and Gram assembly."""
 
+import importlib.util
+import pathlib
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,7 @@ from diskkernels import (
     sample_grid,
     weighted_bergman_coefficients,
 )
+from diskkernels.specs import SpecParseError, parse_grid
 
 RNG_PAIRS = [
     (0.5, 0.5),
@@ -265,3 +271,74 @@ def test_random_grid_rejections_match_the_scalar_loop(count, separation, monkeyp
     u = np.random.default_rng(spec.seed).random((count, 2))
     first = 0.9 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     assert np.max(np.abs(expected - first)) > 0.1
+
+
+def test_random_grid_refuses_more_points_than_half_of_what_fits():
+    # ((2 rmax + eps) / eps)^2 = 441 disks of diameter eps = 1e-10 fill the
+    # disk of radius rmax + eps / 2 at rmax = 1e-9; 220 fill less than half.
+    assert RandomGrid(220, 1e-9, 3).count == 220
+    message = r"^cannot sample 221 points 1e-10 apart within radius 1e-09: at most 441 fit"
+    with pytest.raises(ValueError, match=message):
+        RandomGrid(221, 1e-9, 3)
+    # One point always fits.
+    assert len(sample_grid(RandomGrid(1, 1e-300, 3))) == 1
+    # 200 points fill 0.45 of it; the sampler refuses 3045 draws on the way.
+    spec = RandomGrid(200, 1e-9, 1)
+    assert sample_grid(spec).array.tobytes() == _reference_random_points(spec).tobytes()
+
+
+def _random_grids_in_the_tests():
+    """Every random grid the test files spell out, as spec text or a RandomGrid call."""
+    spec = re.compile(r"random\[n=\d+,rmax=[0-9.e-]+(?:,seed=\d+)?\]")
+    call = re.compile(r"RandomGrid\((?:count=)?(\d+), (?:rmax=)?([0-9.]+), (?:seed=)?(\d+)\)")
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for match in spec.findall(text):
+            try:
+                yield parse_grid(match)
+            except SpecParseError:
+                pass  # a spec the tests expect to be refused
+        for count, rmax, seed in call.findall(text):
+            try:
+                yield RandomGrid(int(count), float(rmax), int(seed))
+            except ValueError:
+                pass
+
+
+def test_every_random_grid_in_the_tests_matches_the_scalar_loop():
+    grids = set(_random_grids_in_the_tests())
+    assert len(grids) >= 20
+    for spec in grids:
+        try:
+            points = sample_grid(spec)
+        except ValueError:
+            continue  # a grid too crowded to sample, which the loop would redraw forever
+        assert points.array.tobytes() == _reference_random_points(spec).tobytes(), spec
+
+
+def _perfbench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module  # its dataclasses look their module up
+    module_spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_benchmark_random_grids_sample_the_points_the_benchmark_assumes(tiny):
+    # perfbench.workloads.random_points draws the first candidates, as if
+    # no draw were refused.
+    workloads = _perfbench_workloads()
+    grids = {
+        task.inputs["grid"]
+        for seed in (0, 1, 101, 701, 702)
+        for name in workloads.WORKLOADS
+        for task in workloads.build(name, seed, tiny)
+        if str(task.inputs.get("grid", "")).startswith("random[")
+    }
+    assert len(grids) >= 100
+    for text in grids:
+        spec = parse_grid(text)
+        expected = workloads.random_points(spec.count, spec.rmax, spec.seed)
+        assert sample_grid(spec).array.tobytes() == expected.tobytes(), text

@@ -4,7 +4,7 @@ Numbers include huge, tiny, negative, non-integral and non-finite spellings,
 so range checks, integer reads and constructor checks are all reached. Each
 parser either returns or raises SpecParseError, with no other exception and
 no warning, and whatever it returns formats to text that parses back to an
-equal value.
+equal value. A parsed grid of at most 64 points is also sampled.
 """
 
 import warnings
@@ -12,6 +12,7 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from diskkernels.kernels import sample_grid
 from diskkernels.specs import (
     SpecParseError,
     format_function,
@@ -163,3 +164,12 @@ def test_grid_specs_parse_or_diagnose_and_round_trip(text):
     grid = parse_or_none(parse_grid, text)
     if grid is not None:
         assert parse_grid(format_grid(grid)) == grid
+        # Small grids are sampled too, so a tiny rmax or radius reaches the
+        # sampler: it returns, or refuses points too close to keep apart.
+        if grid.size <= 64:
+            try:
+                points = sample_grid(grid)
+            except ValueError as exc:
+                assert "coincident" in str(exc) or "draws were refused" in str(exc)
+            else:
+                assert len(points) == grid.size
