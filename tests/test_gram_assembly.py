@@ -9,13 +9,15 @@ the reference. Every matrix, asymmetry, peak, deviation, error message and
 route choice must be bit-identical to it.
 
 This file also checks routed Grams (``tests/test_gram_route.py``) against the
-dense assembly. A routed Gram keeps no matrix, so its diagonal, peak,
-asymmetry and route blocks are compared with the reference before its
-``matrix`` is read, and its blocks with those of a Gram built on the
-reference matrix; the reference has the bits of the dense assembly, as the
-``explicit-*`` cases show at every W. Each case assembles its Gram once.
+whole-matrix reference, which has the bits of the dense assembly, as the
+``explicit-*`` cases show at every W. A routed Gram keeps no matrix, so its
+diagonal, peak, asymmetry and deviation are compared with the reference
+before its ``matrix`` is read. ``test_routed_gram_keeps_the_bits_of_the_dense_assembly``
+in ``tests/test_gram_route.py`` checks the route blocks of the same Gram:
+each routed (kernel, grid, W) Gram is assembled once for both tests.
 """
 
+import copy
 import functools
 import math
 import struct
@@ -206,11 +208,12 @@ def _reference(text, grid):
     return _reference_gram(parse_kernel(text), POINT_SETS[grid])
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _dense(text, grid):
     """The dense side of a routed case: the route blocks, at each tolerance,
     of a Gram built on the reference matrix, its deviation, and a slot for
-    the routed deviation of the first W."""
+    the routed deviation of the first W. Kept for every (kernel, grid), so
+    that the route blocks' test finds them after the reference is gone."""
     matrix, asym, _ = _reference(text, grid)
     points = POINT_SETS[grid]
     D = GramMatrix(matrix=matrix, point_set=points, kernel=parse_kernel(text), asymmetry=asym)
@@ -218,29 +221,42 @@ def _dense(text, grid):
     return _check_route(D), _circulant_dev2(matrix.reshape(R, A, R, A)), {}
 
 
+# Routed Grams assembled by one of their two tests and not yet taken by the
+# other, by (text, grid, W).
+_SHARED = {}
+
+
+def _routed_gram(text, grid, w):
+    """The Gram of the routed case (text, grid, W), assembled once for the two
+    tests that check it. The first to run assembles it and leaves a copy,
+    which the second takes; the copy shares the kept arrays, but not a
+    ``matrix`` that the first reads."""
+    G = _SHARED.pop((text, grid, w), None)
+    if G is None:
+        G = gram(parse_kernel(text), POINT_SETS[grid])
+        _SHARED[text, grid, w] = copy.copy(G)
+    return G
+
+
 @pytest.mark.parametrize("text, grid, w", _cases())
 def test_gram_and_route_match_the_reference(text, grid, w, monkeypatch):
     if w is not None:
         # Assembled by W - 1 helper threads and the calling one.
         monkeypatch.setattr(kx, "_gram_workers", lambda: w)
-    G = gram(parse_kernel(text), POINT_SETS[grid])
     if not _routed(text, grid):
+        G = gram(parse_kernel(text), POINT_SETS[grid])
         _assert_reference_bits(G, _reference(text, grid))
         _check_route(G)
         return
-    # A routed Gram holds no matrix until it is read; what it keeps has the
-    # bits of the reference, and its route the bits of the dense route.
+    # A routed Gram holds no matrix until it is read, and what it keeps has
+    # the bits of the reference (its route blocks: tests/test_gram_route.py).
+    G = _routed_gram(text, grid, w)
     matrix, asym, peak = _reference(text, grid)
-    dense_blocks, dev2, seen = _dense(text, grid)
+    _, dev2, seen = _dense(text, grid)
     assert G._matrix is None and G._circulant is not None
     assert _bits(G.peak) == _bits(peak)
     assert _bits(G.asymmetry) == _bits(asym)
     assert G.diagonal.tobytes() == matrix.diagonal().tobytes()
-    for tol, dense in zip(TOLERANCES, dense_blocks):
-        routed = _angle_blocks(G, tol)
-        assert (routed is None) == (dense is None)
-        if routed is not None:
-            assert routed.tobytes() == dense.tobytes()
     # The stored deviation is the same sum in another order ...
     ours = G._circulant[1]
     assert ours == pytest.approx(dev2, rel=1e-12, abs=1e-300)

@@ -5,11 +5,15 @@ than one strip is assembled without its matrix: ``kernels.gram`` keeps the
 first column of each A x A block, the diagonal, the peak, the asymmetry and
 ||G - C||_F^2, and builds ``matrix`` densely when it is first read.
 
-``tests/test_gram_assembly.py`` checks each routed Gram against the dense
-assembly: its routed cases of ``test_gram_and_route_match_the_reference``
-assemble the Gram once per worker count W, and compare everything it keeps,
-and everything read off it, with the whole-matrix reference and with the
-route of a Gram built on that matrix. This file checks that those cases
+The dense assembly (``kernels._gram(kernel, points, None)``) is the
+reference: everything a routed Gram keeps, and everything read off it, must
+have its bits, for every worker count W, and the deviation must not depend
+on W. Each routed (kernel, grid, W) Gram is assembled once and checked by
+two tests: its case of ``test_gram_and_route_match_the_reference`` in
+``tests/test_gram_assembly.py`` compares its diagonal, peak, asymmetry,
+deviation and ``matrix`` with the whole-matrix reference, which has the bits
+of the dense assembly, and its case here compares its route blocks with the
+route of a Gram built on that matrix. This file also checks that those cases
 cover every invariant kernel, and what the route evaluates, holds and raises.
 """
 
@@ -32,15 +36,45 @@ from diskkernels.psd import (
     membership_check,
 )
 from diskkernels.specs import parse_function, parse_grid, parse_kernel
-from test_gram_assembly import KERNELS, POINT_SETS, _cases, _leaves_the_ball, _routed
+from test_gram_assembly import (
+    KERNELS,
+    POINT_SETS,
+    TOLERANCES,
+    _cases,
+    _dense,
+    _leaves_the_ball,
+    _routed,
+    _routed_gram,
+)
 
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _routed_cases():
+    """The cases of ``test_gram_and_route_match_the_reference`` whose Gram is routed."""
+    return [case for case in _cases() if _routed(*case.values[:2])]
+
+
+@pytest.mark.parametrize("text, grid, w", _routed_cases())
+def test_routed_gram_keeps_the_bits_of_the_dense_assembly(text, grid, w, monkeypatch):
+    if w is not None:
+        monkeypatch.setattr(kx, "_gram_workers", lambda: w)
+    # The Gram of the same case of test_gram_and_route_match_the_reference,
+    # which checks what it keeps against the reference.
+    G = _routed_gram(text, grid, w)
+    dense_blocks = _dense(text, grid)[0]
+    assert G._matrix is None and G._circulant is not None
+    for tol, dense in zip(TOLERANCES, dense_blocks):
+        routed = _angle_blocks(G, tol)
+        assert (routed is None) == (dense is None)
+        if routed is not None:
+            assert routed.tobytes() == dense.tobytes()
+
+
 def test_routed_cases_cover_every_invariant_kernel_and_split_grid():
-    cases = {(c.values[0], c.values[1]) for c in _cases() if _routed(*c.values[:2])}
+    cases = {(c.values[0], c.values[1]) for c in _routed_cases()}
     invariant = [t for t in KERNELS if kx._circulant_shape(parse_kernel(t), POINT_SETS["radial-481"])]
     assert len(invariant) >= 10
     assert cases == {(t, g) for t in invariant for g in ("radial-481", "radial-1025")}
