@@ -431,5 +431,4 @@ def ratio_table(b, radii, angles: int) -> list[float]:
                 _fmt_gigabytes(kernels.MAX_DENSE_BYTES),
             )
         )
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    return [float(np.max(ratio_values(b, r * circle))) for r in radii]
+    return [float(np.max(ratio_values(b, radial_points((r,), m)))) for r in radii]

@@ -5,9 +5,10 @@ Nodes: sum, entrywise (Schur) product, nonnegative scaling, difference,
 conjugate scaling by a symbol. Kernel expressions evaluate pointwise and
 assemble Hermitian Gram matrices over validated point sets.
 
-Every node has ``eval(z, w)`` and ``diagonal_series(order)``, the c_0..c_order
-of a kernel sum_n c_n (conj(w) z)^n; the latter raises ValueError when a
-symbol in the tree is not c z^k (its ``monomial()`` is None).
+Every node has ``eval(z, w)``, ``diagonal_series(order)``, the c_0..c_order
+of a kernel f(z conj(w)) = sum_n c_n (z conj(w))^n, and ``rounding_bound(x)``
+(see ``_circulant_bound``); the latter two raise ValueError when a symbol in
+the tree is not c z^k (its ``monomial()`` is None).
 """
 
 from __future__ import annotations
@@ -34,9 +35,18 @@ GRAM_STRIP_ENTRIES = 1 << 16
 # (n = 4096, 256 MiB). Beside its two Grams a dense dominance pencil holds at
 # most three such matrices at once; a certified PSD check holds about half of
 # one, and one more for the symmetrized copy of an ndarray. A Gram of the
-# rotation route holds none until its ``matrix`` is read: its strips in
-# flight and its first columns come to about a quarter of one at n = 1600.
+# rotation route holds none until its ``matrix`` is read, only its 2 R n + n
+# kernel values: R / n of one matrix, besides the n.
 MAX_DENSE_BYTES = 1 << 28
+UNIT_ROUNDOFF = 2.0**-53
+# Relative errors, to first order, of a float64 complex product, sqrt(2)
+# gamma_2 (Higham, Accuracy and Stability of Numerical Algorithms, Lemma
+# 3.5), and the bound assumed for numpy's complex quotient, sqrt(2) gamma_7.
+_MUL = 2.0 * math.sqrt(2.0) * UNIT_ROUNDOFF
+_DIV = 7.0 * math.sqrt(2.0) * UNIT_ROUNDOFF
+# A point of ``radial_points`` lies within _POINT_ROUNDING r of its exact
+# value r exp(2 pi i k/A), and the point k = 0 is exact (``_circulant_bound``).
+_POINT_ROUNDING = 23.5 * UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,9 @@ class Szego:
 
     def diagonal_series(self, order):
         return np.ones(order + 1)
+
+    def rounding_bound(self, x):
+        return _bergman_bound(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,9 @@ class WeightedBergman:
     def diagonal_series(self, order):
         return weighted_bergman_coefficients(self.alpha, order)
 
+    def rounding_bound(self, x):
+        return _bergman_bound(self.alpha + 2.0, x)
+
 
 @dataclass(frozen=True)
 class DBR:
@@ -86,6 +102,9 @@ class DBR:
         mono = _symbol_monomial(self.b, "symbol")
         base = weighted_bergman_coefficients(-1.0, order)
         return base - _shifted(base, mono)
+
+    def rounding_bound(self, x):
+        return _symbol_leaf_bound(_symbol_monomial(self.b, "symbol"), 1.0, x)
 
 
 @dataclass(frozen=True)
@@ -114,6 +133,9 @@ class SubBergman:
         base = weighted_bergman_coefficients(self.alpha, order)
         return base - _shifted(base, mono)
 
+    def rounding_bound(self, x):
+        return _symbol_leaf_bound(_symbol_monomial(self.b, "symbol"), self.alpha + 2.0, x)
+
 
 @dataclass(frozen=True)
 class Sum:
@@ -125,6 +147,9 @@ class Sum:
 
     def diagonal_series(self, order):
         return self.left.diagonal_series(order) + self.right.diagonal_series(order)
+
+    def rounding_bound(self, x):
+        return _added_bound(self.left.rounding_bound(x), self.right.rounding_bound(x))
 
 
 @dataclass(frozen=True)
@@ -142,6 +167,11 @@ class SchurProduct:
             self.left.diagonal_series(order), self.right.diagonal_series(order)
         )
         return conv[: order + 1]
+
+    def rounding_bound(self, x):
+        m1, l1, e1 = self.left.rounding_bound(x)
+        m2, l2, e2 = self.right.rounding_bound(x)
+        return m1 * m2, l1 * m2 + m1 * l2, e1 * m2 + m1 * e2 + _MUL * m1 * m2
 
 
 @dataclass(frozen=True)
@@ -163,6 +193,10 @@ class Scale:
     def diagonal_series(self, order):
         return self.factor * self.operand.diagonal_series(order)
 
+    def rounding_bound(self, x):
+        m, l, e = self.operand.rounding_bound(x)
+        return self.factor * m, self.factor * l, self.factor * (e + UNIT_ROUNDOFF * m)
+
 
 @dataclass(frozen=True)
 class Difference:
@@ -176,6 +210,13 @@ class Difference:
 
     def diagonal_series(self, order):
         return self.left.diagonal_series(order) - self.right.diagonal_series(order)
+
+    def rounding_bound(self, x):
+        if self.left == self.right:
+            # Equal operands evaluate to the same bits: the difference is 0.
+            zero = 0.0 * np.asarray(x)
+            return zero, zero, zero
+        return _added_bound(self.left.rounding_bound(x), self.right.rounding_bound(x))
 
 
 @dataclass(frozen=True)
@@ -194,6 +235,14 @@ class ConjugateScale:
     def diagonal_series(self, order):
         mono = _symbol_monomial(self.func, "conjugate-scaling symbol")
         return _shifted(self.operand.diagonal_series(order), mono)
+
+    def rounding_bound(self, x):
+        # |c|^2 t^k K(t): the symbol product is within (2 k + 1) _MUL, then times K.
+        c, k = _symbol_monomial(self.func, "conjugate-scaling symbol")
+        m, l, e = self.operand.rounding_bound(x)
+        c2 = abs(c) * abs(c)
+        s, ds = c2 * x**k, c2 * k * x ** max(k - 1, 0)
+        return s * m, s * l + ds * m, s * (e + (2 * k + 2) * _MUL * m)
 
 
 KernelExpr = Union[
@@ -254,6 +303,59 @@ def _shifted(series: np.ndarray, mono: tuple) -> np.ndarray:
     if k < len(series):
         out[k:] = (abs(c) ** 2) * series[: len(series) - k]
     return out
+
+
+def _bergman_bound(p: float, x):
+    """``rounding_bound`` of (1 - t)^-p, evaluated as ``_power`` of d = fl(1 - fl(conj(w) z)).
+
+    Its Taylor coefficients are positive, so f(x) and f'(x) are the
+    majorants. d is within _MUL x + u |1 - t| of 1 - t, a relative error
+    the power multiplies by p, and the power adds its own, with abs, power,
+    angle, exp, log, cos and sin within one ulp: numpy's binary powering of
+    an integer p < 100 leaves d^p within (p - 1) _MUL before one quotient
+    (Szego's 1/d at p = 1), and exp(-p log d) for a larger integer p,
+    |log d| <= 2 + log g, or |d|^-p (cos + i sin)(-p arg d) for any other
+    p, |arg d| < pi/2, is within (10 p + 5 + 5 p log g) u.
+    """
+    g = 1.0 / (1.0 - x)
+    m = g**p
+    if p.is_integer() and p < 100.0:
+        own = (p - 1.0) * _MUL + _DIV
+    else:
+        own = (10.0 * p + 5.0 + 5.0 * p * np.log(g)) * UNIT_ROUNDOFF
+    return m, p * g * m, (p * (_MUL * x * g + UNIT_ROUNDOFF) + own) * m
+
+
+def _symbol_leaf_bound(mono: tuple, p: float, x):
+    """``rounding_bound`` of (1 - |c|^2 t^k)(1 - t)^-p: DBR at p = 1, SubBergman at p = alpha + 2.
+
+    As 1 - |c|^2 t^k = (1 - t) S_k(t) + (1 - |c|^2) t^k, S_k(t) = sum_(n<k)
+    t^n, for p >= 1 the Taylor coefficients of f are at most, in modulus,
+    those of M(x) = S_k(x) (1 - x)^(1 - p) + |1 - |c|^2| x^k (1 - x)^-p,
+    whose terms have nonnegative ones: M(x) and M'(x) are the majorants,
+    summed without cancellation. A symbol c z^k is assumed within k _MUL
+    (k complex products, as every symbol class computes it), so conj(b(w))
+    b(z) is within (2 k + 1) _MUL |c|^2 x^k; the numerator's rounding, the
+    power's error and the last quotient or product are relative to |f(t)|.
+    """
+    c, k = mono
+    base, dbase, ebase = _bergman_bound(p, x)
+    n = np.arange(k)
+    powers = np.asarray(x)[..., None] ** n
+    S, dS = np.sum(powers, axis=-1), np.sum(n[1:] * powers[..., :-1], axis=-1)
+    c2 = abs(c) * abs(c)
+    kappa, xk = abs(1.0 - c2), x**k
+    m = S * (1.0 - x) * base + kappa * xk * base
+    l = (dS * (1.0 - x) + (p - 1.0) * S) * base
+    l = l + kappa * (k * x ** max(k - 1, 0) * base + xk * dbase)
+    e = (2 * k + 1) * _MUL * c2 * xk * base + m * (UNIT_ROUNDOFF + ebase / base + _MUL)
+    return m, l, e
+
+
+def _added_bound(left: tuple, right: tuple) -> tuple:
+    """``rounding_bound`` of a sum or difference: one more rounding of the result."""
+    (m1, l1, e1), (m2, l2, e2) = left, right
+    return m1 + m2, l1 + l2, e1 + e2 + UNIT_ROUNDOFF * (m1 + m2)
 
 
 def is_positivity_preserving(kernel: KernelExpr) -> bool:
@@ -528,12 +630,13 @@ class GramMatrix:
     during assembly, and a GramMatrix built directly computes it.
     ``diagonal`` holds the G_ii.
 
-    A Gram that ``gram`` assembles on the rotation route holds no n x n
-    matrix: its first read of ``matrix`` assembles it off the route, with
-    the same bits. What the route reads is kept instead, as ``_circulant``
-    = (first, dev2): the first column of each A x A block as an (R, A, R)
-    array, and ||G - C||_F^2 for the block-circulant C they define (see
-    ``_circulant_window``). Any other Gram has ``_circulant`` None.
+    A Gram that ``gram`` builds on the rotation route holds no n x n
+    matrix: its first read of ``matrix`` assembles it densely. It keeps
+    ``_circulant`` = (first, bound) instead: the first column of each A x A
+    block as an (R, A, R) array, and ``_circulant_bound``'s bound on
+    ||G - C||_F for the block-circulant C they define. Its ``peak`` and
+    ``asymmetry`` are read off those columns and the diagonal. Any other
+    Gram, one built directly included, has ``_circulant`` None.
     """
 
     def __init__(self, matrix, point_set, kernel, asymmetry, peak=None):
@@ -566,7 +669,7 @@ class GramMatrix:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _gram(self.kernel, self.point_set, None).matrix
+            self._matrix = _gram(self.kernel, self.point_set).matrix
         return self._matrix
 
     @property
@@ -579,10 +682,93 @@ class GramMatrix:
 
 
 def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
-    """Assemble G[i, j] = K(p_i, p_j) and symmetrize to (G + G*)/2.
+    """G[i, j] = K(p_i, p_j) symmetrized to (G + G*)/2.
 
     Raises when an entry is not finite, or when the raw evaluation deviates
     from conjugate symmetry by more than 1e-12 relative to the largest entry.
+
+    On the rotation route (``_circulant_shape``) only the first column of
+    each A x A block and the diagonal are evaluated, 2 R n + n entries
+    (``_first_columns``), and both checks read those: the Gram keeps them
+    with ``_circulant_bound`` and assembles ``matrix`` densely when it is
+    first read. Any other Gram is assembled densely at once (``_gram``).
+    """
+    shape = _circulant_shape(kernel, points)
+    if shape is None:
+        return _gram(kernel, points)
+    first, diagonal, asym, peak = _first_columns(kernel, points.array, shape[1])
+    _check_entries(asym, peak)
+    bound = _circulant_bound(kernel, np.array(points.spec.radii), shape[1])
+    return GramMatrix._routed(points, kernel, asym, peak, diagonal, (first, bound))
+
+
+def _check_entries(asym: float, peak: float) -> None:
+    """Raise when the peak is not finite, or the asymmetry is above HERMITIAN_TOL max(1, peak)."""
+    if not math.isfinite(peak):
+        raise ValueError("kernel evaluation has non-finite entries")
+    if asym > HERMITIAN_TOL * max(1.0, peak):
+        raise ValueError(
+            "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym
+        )
+
+
+def _circulant_shape(kernel: KernelExpr, points: PointSet) -> Optional[tuple]:
+    """(R, A) when a Gram of the kernel on the points takes the rotation route, else None.
+
+    The points must come from ``sample_grid`` on a radial grid of R radii
+    and A angles, and the kernel must be rotation-invariant: one whose
+    ``rounding_bound`` exists, every symbol in it being c z^k. Its Gram is
+    then an R x R array of A x A blocks that are circulant up to rounding.
+    """
+    grid = points.spec
+    if not isinstance(grid, RadialGrid) or grid.size != len(points):
+        return None
+    if not hasattr(kernel, "rounding_bound"):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            kernel.rounding_bound(0.0)
+    except ValueError:
+        return None
+    return len(grid.radii), grid.angles
+
+
+def _circulant_bound(kernel: KernelExpr, radii: np.ndarray, A: int) -> float:
+    """A bound on ||G - C||_F for a routed Gram on the grid of ``radii`` and A angles.
+
+    C is the block-circulant matrix of G's first columns. At the exact
+    points r_a exp(2 pi i p/A) the entries are f(r_a r_b exp(2 pi i (p -
+    q)/A)), block-circulant. The bound, to first order in the unit
+    roundoff u, rests on two assumptions. The points: ``radial_points``
+    computes fl(fl(2 fl(pi) k) fl(1/A)), within 3.36 u of 2 pi k/A < 2 pi,
+    then exp of it within u per part (cos and sin within one ulp) and r
+    times that with one rounding per part, so each point is within
+    _POINT_ROUNDING = 23.5 u r of its exact value, and the point k = 0 is
+    exact. The nodes: ``kernel.rounding_bound(x)`` gives majorants m, l of
+    |f|, |f'| on |t| <= x and e of the error of ``eval`` where |z conj(w)|
+    <= x, under the ulp accuracy stated in ``_bergman_bound``.
+
+    With x = r_a r_b and dt the error of z conj(w), 2 _POINT_ROUNDING x at
+    most and half that in a first column, an entry (K(p_i, p_j) + conj
+    K(p_j, p_i)) 0.5 is within l dt + e + u m of its exact value. An entry
+    of G - C is an entry less one of its first column, which are C's own,
+    so ||G - C||_F <= sqrt(A (A - 1)) ||3 _POINT_ROUNDING x l + 2 (e + u
+    m)||_F over the radius pairs, m, l and e taken at the largest |z
+    conj(w)|, x (1 + 2 _POINT_ROUNDING). Where that reaches 1 the bound is
+    inf; one that overflows is inf or NaN: both send G to the dense route.
+    """
+    x = np.multiply.outer(radii, radii)
+    top = x + 2.0 * _POINT_ROUNDING * x
+    if not np.max(top) < 1.0:
+        return math.inf
+    with np.errstate(all="ignore"):
+        m, l, e = kernel.rounding_bound(top)
+        entry = 3.0 * _POINT_ROUNDING * x * l + 2.0 * (e + UNIT_ROUNDOFF * m)
+        return math.sqrt(A * (A - 1)) * float(np.linalg.norm(entry))
+
+
+def _gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
+    """``gram`` off the rotation route: the dense assembly, in strips of rows.
 
     The kernel is evaluated one strip of rows at a time, and every pair of
     points once: for rows s:e, X = K(p[s:e], p[s:]) is the diagonal block
@@ -603,69 +789,12 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     W the CPUs the process may run on (``_gram_workers``, ``_strip_plan``),
     and G, its asymmetry and its peak have the same bits for any W (see
     ``_run_strips``).
-
-    On the rotation route (``_circulant_shape``) a Gram of more than one
-    strip allocates no n x n matrix at all. The first column of each A x A
-    block is evaluated first, 2 R n entries (``_first_columns``). Each
-    strip then keeps its upper rows only while ``_circulant_rows``
-    compares them with the block-circulant C they define, and leaves the
-    diagonal and each row's share of ||G - C||_F^2, which sum to the same
-    value for any W; L only serves Y*. The GramMatrix keeps those, and
-    builds ``matrix`` by the dense assembly when it is first read.
-    """
-    return _gram(kernel, points, _circulant_shape(kernel, points))
-
-
-def _circulant_shape(kernel: KernelExpr, points: PointSet) -> Optional[tuple]:
-    """(R, A) when a Gram of the kernel on the points takes the rotation route, else None.
-
-    The points must come from ``sample_grid`` on a radial grid of R radii
-    and A angles, and the kernel must be rotation-invariant: one whose
-    ``diagonal_series`` exists, every symbol in it being c z^k. Its Gram is
-    then an R x R array of A x A blocks that are circulant up to rounding.
-    """
-    grid = points.spec
-    if not isinstance(grid, RadialGrid) or grid.size != len(points):
-        return None
-    if not hasattr(kernel, "diagonal_series"):
-        return None
-    try:
-        kernel.diagonal_series(0)
-    except ValueError:
-        return None
-    return len(grid.radii), grid.angles
-
-
-def _gram(kernel: KernelExpr, points: PointSet, shape: Optional[tuple]) -> GramMatrix:
-    """``gram`` on the rotation route for a ``shape`` (R, A), densely for None.
-
-    A Gram of one strip, or of fewer than 5 angles, is dense either way, and
-    ``psd._angle_blocks`` reads the route's columns off its matrix: one
-    strip is the whole matrix at once, and with few angles the route would
-    hold more than the matrix.
     """
     n = len(points)
     check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
     arr = points.array
     rows, threads = _strip_plan(n, _gram_workers())
-    # The route holds the first columns and their windows in place of the
-    # matrix, R n + 2 R^2 (2 A - 1) entries against n^2: fewer from A = 5 on.
-    routed = (
-        shape is not None
-        and rows < n
-        and shape[0] * n + 2 * shape[0] ** 2 * (2 * shape[1] - 1) < n * n
-    )
-    if routed:
-        A = shape[1]
-        first = _first_columns(kernel, arr, A)
-        window, drop = _circulant_window(first), _circulant_drop(A)
-        diagonal = np.empty(n, dtype=complex)
-        dev2 = np.empty(n)
-        # One room per thread, reused strip after strip: a strip's padded
-        # rows, and twice that for Y* and then the terms of _circulant_rows.
-        rooms = list(np.empty((threads, 3, rows * n), dtype=complex))
-    else:
-        sym = np.empty((n, n), dtype=complex)
+    sym = np.empty((n, n), dtype=complex)
     starts = range(0, n, rows)
     asyms = np.empty(len(starts))
     peaks = np.empty(len(starts))
@@ -675,159 +804,52 @@ def _gram(kernel: KernelExpr, points: PointSet, shape: Optional[tuple]) -> GramM
         e = min(s + rows, n)
         h = e - s
         X = np.asarray(kernel.eval(arr[s:e, None], arr[None, s:]), dtype=complex)
-        if routed:
-            # The rows from the first column of their first radius on.
-            room = rooms.pop()
-            c0 = s - s % A
-            padded = room[0, : h * (n - c0)].reshape(h, n - c0)
-            padded[:, : s - c0] = 0.0
-            upper = padded[:, s - c0 :]
-            spare = room[1:].reshape(-1)[: 2 * padded.size]
-            Yh = spare[: X.size].reshape(X.shape)
-        else:
-            upper = sym[s:e, s:]
-            Yh = np.empty_like(X)
+        upper = sym[s:e, s:]
+        Yh = np.empty_like(X)
         np.conjugate(X[:, :h].T, out=Yh[:, :h])
         if e < n:
             L = np.asarray(kernel.eval(arr[e:, None], arr[None, s:e]), dtype=complex)
             np.conjugate(L.T, out=Yh[:, h:])
-            if not routed:
-                lower = sym[e:, s:e]
-                np.conjugate(X[:, h:].T, out=lower)
-                np.add(L, lower, out=lower)
-                np.multiply(lower, 0.5, out=lower)
+            lower = sym[e:, s:e]
+            np.conjugate(X[:, h:].T, out=lower)
+            np.add(L, lower, out=lower)
+            np.multiply(lower, 0.5, out=lower)
         np.add(X, Yh, out=upper)
         np.multiply(upper, 0.5, out=upper)
         peaks[k] = np.max(np.abs(upper))
         asyms[k] = np.max(np.abs(np.subtract(X, Yh, out=Yh)))
-        if routed:
-            X = Yh = L = None
-            diagonal[s:e] = upper.diagonal()
-            dev2[s:e] = _circulant_rows(window, drop, padded, s, spare)
-            rooms.append(room)
 
     _run_strips(strip, len(starts), threads)
     asym, peak = float(np.max(asyms)), float(np.max(peaks))
-    if not math.isfinite(peak):
-        raise ValueError("kernel evaluation has non-finite entries")
-    scale = max(1.0, peak)
-    if asym > HERMITIAN_TOL * scale:
-        raise ValueError(
-            "kernel evaluation is not conjugate-symmetric (deviation %.3g)" % asym
-        )
-    if routed:
-        return GramMatrix._routed(
-            points, kernel, asym, peak, diagonal, (first, float(np.sum(dev2)))
-        )
+    _check_entries(asym, peak)
     return GramMatrix(
         matrix=sym, point_set=points, kernel=kernel, asymmetry=asym, peak=peak
     )
 
 
-def _first_columns(kernel: KernelExpr, arr: np.ndarray, A: int) -> np.ndarray:
-    """G[:, b A] for each radius b, the first columns of the A x A blocks, as (R, A, R).
+def _first_columns(kernel: KernelExpr, arr: np.ndarray, A: int) -> tuple:
+    """(first, diagonal, asymmetry, peak) of a Gram on the rotation route.
 
-    K(p_bA, p) and K(p, p_bA) are evaluated for all points p, 2 R n
-    entries, the first with every point in w, as in the first strip, and
-    symmetrized by the strips' expression, so each entry has their bits.
-    Non-finite values are left for the strips to report.
+    ``first`` holds G[:, b A] for each radius b, the first columns of the
+    A x A blocks, as an (R, A, R) array. K(p_bA, p) and K(p, p_bA) are
+    evaluated for all points p, 2 R n entries, the first with every point
+    in w, as in the first strip of the dense assembly, and n more give
+    K(p, p). Each pair is symmetrized by that assembly's expression, so
+    each entry has its bits, and the asymmetry and peak are its maxima
+    over these entries, NaN for a NaN entry.
     """
     cols = arr[::A]
-    R = len(cols)
     with np.errstate(all="ignore"):
         top = np.asarray(kernel.eval(cols[:, None], arr[None, :]), dtype=complex)
         left = np.asarray(kernel.eval(arr[:, None], cols[None, :]), dtype=complex)
-        first = np.add(left, np.conjugate(top).T, out=np.empty_like(left))
-        np.multiply(first, 0.5, out=first)
-    return first.reshape(R, A, R)
-
-
-def _circulant_window(first: np.ndarray) -> np.ndarray:
-    """The block-circulant matrix C of first columns ``first`` (R, A, R), as zero-copy windows.
-
-    C[(a, p), (b, q)] = first[a, (p - q) mod A, b] on the points a A + p.
-    With E, first[:, 1:] followed by first along axis 1, E[a, k] =
-    first[a, (k - A + 1) mod A]. F[0, a, b] is E[a, :, b] reversed and
-    F[1, a, b] is conj(E[b, :, a]), so the length-A windows of F along its
-    last axis, starting A - 1 - p entries in, give the (2, R, A, R, A) view
-
-        W[0, a, p, b, q] = C[(a, p), (b, q)],
-        W[1, a, p, b, q] = conj(C[(b, q), (a, p)]),
-
-    as ``operators._toeplitz_fill`` builds a Toeplitz matrix. Along q both
-    step one entry forward.
-    """
-    R, A = first.shape[:2]
-    E = np.concatenate((first[:, 1:], first), axis=1)
-    F = np.empty((2, R, R, 2 * A - 1), dtype=complex)
-    F[0] = E[:, ::-1].transpose(0, 2, 1)
-    np.conjugate(E.transpose(2, 0, 1), out=F[1])
-    windows = np.lib.stride_tricks.sliding_window_view(F, A, axis=3)
-    return windows.transpose(0, 1, 3, 2, 4)[:, :, ::-1]
-
-
-def _circulant_dev2(G4: np.ndarray) -> float:
-    """||G - C||_F^2 for G as an (R, A, R, A) array, summed one radius at a time.
-
-    C is the block-circulant matrix with G's first columns (see
-    ``_circulant_window``); each radius's rows take one ``np.vdot``.
-    """
-    C = _circulant_window(G4[:, :, :, 0])[0]
-    dev2 = 0.0
-    for a in range(len(G4)):
-        diff = np.subtract(G4[a], C[a], order="C")
-        dev2 += float(np.vdot(diff, diff).real)
-    return dev2
-
-
-def _circulant_drop(A: int) -> np.ndarray:
-    """drop[0, p, q] = q < p and drop[1, p, q] = q <= p, as a read-only (2, A, A) view.
-
-    Row p of a radius leaves out the columns q < p of its own A x A block,
-    and q <= p for the transposed term of ``_circulant_rows``. Row p of
-    drop[c] is the window from A - 1 - p on of A - 1 + c ones followed by
-    zeros, so the view holds 4 A entries.
-    """
-    ramp = np.arange(2 * A) < np.array([[A - 1], [A]])
-    return np.lib.stride_tricks.sliding_window_view(ramp, A, axis=1)[:, A - 1 :: -1]
-
-
-def _circulant_rows(
-    window: np.ndarray, drop: np.ndarray, padded: np.ndarray, s: int, spare: np.ndarray
-) -> np.ndarray:
-    """Each row's share of ||G - C||_F^2, for the rows s:s+h of a Gram.
-
-    ``window`` is ``_circulant_window`` of the first columns and ``drop``
-    is ``_circulant_drop(A)``. ``padded`` holds G's rows s:s+h from column
-    c0 on, c0 the first column of row s's radius, with zeros before column
-    s. ``spare``, of 2 ``padded.size`` entries, is scratch.
-
-    Row i's share is sum_(j >= i) |G_ij - C_ij|^2 + sum_(j > i) |G_ij -
-    conj(C_ji)|^2, the second term being |G_ji - C_ji|^2 as G is
-    Hermitian, so the shares of all rows add up to ||G - C||_F^2 and read
-    only G's upper triangle. The rows of each radius a take both terms in
-    one subtraction, on the columns from a A on, and the terms ``drop``
-    marks, left of each row's start, are set to zero. A row's terms then
-    depend only on the row, and so does its share, one ``np.einsum`` sum
-    over the row's two terms, whatever strips the rows are split into.
-    """
-    R, A = window.shape[1:3]
-    h, m = padded.shape
-    c0 = R * A - m
-    out = np.empty(h)
-    for a in range(s // A, (s + h - 1) // A + 1):
-        lo, hi = max(s, a * A), min(s + h, a * A + A)
-        p0, p1 = lo - a * A, hi - a * A
-        block = padded[lo - s : hi - s, a * A - c0 :].reshape(hi - lo, R - a, A)
-        terms = np.subtract(
-            block,
-            window[:, a, p0:p1, a:],
-            out=spare[: 2 * block.size].reshape((2,) + block.shape),
-        )
-        np.copyto(terms[:, :, 0], 0.0, where=drop[:, p0:p1])
-        terms = terms.reshape(2, hi - lo, -1).view(float)
-        np.einsum("kij,kij->i", terms, terms, out=out[lo - s : hi - s])
-    return out
+        raw = np.asarray(kernel.eval(arr, arr), dtype=complex)
+        asym = peak = 0.0
+        sym = []
+        for X, Yh in ((left, np.conjugate(top).T), (raw, np.conjugate(raw))):
+            sym.append(np.multiply(np.add(X, Yh), 0.5))
+            asym = np.max((asym, np.max(np.abs(np.subtract(X, Yh)))))
+            peak = np.max((peak, np.max(np.abs(sym[-1]))))
+    return sym[0].reshape(len(cols), A, len(cols)), sym[1], float(asym), float(peak)
 
 
 def _gram_workers() -> int:

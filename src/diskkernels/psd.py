@@ -22,7 +22,7 @@ from .kernels import (
     KernelExpr,
     PointSet,
     RadialGrid,
-    _circulant_dev2,
+    UNIT_ROUNDOFF,
     gram,
     sample_grid,
 )
@@ -33,7 +33,6 @@ JITTER_SCALE = 1e-12
 ORACLE_TOL = 1e-12
 REFUTATION_RADII = (0.5, 0.65, 0.8, 0.9, 0.95)
 FACTOR_BLOCK = 64
-UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -150,30 +149,20 @@ def _angle_blocks(G: GramMatrix, tol: float) -> Optional[np.ndarray]:
     """The Gram split by a DFT over the angle index, or None for the dense route.
 
     On a radial grid of R radii and A angles, in ``sample_grid`` order, a
-    rotation-invariant kernel (one with a ``diagonal_series``) has an R x R
-    array of A x A circulant blocks.
+    rotation-invariant kernel has an R x R array of A x A circulant blocks.
     Conjugating by the unitary DFT in the angle index turns it into A
     Hermitian R x R blocks, returned as an (A, R, R) stack with the same
     spectrum. The blocks come from the first column of each circulant
-    block. They are used only when the Gram is within
-    ||G - C||_F <= 0.1 tol max(1, G.peak) of the block-circulant C rebuilt
-    from those columns; by Weyl's inequality no eigenvalue then moves by
-    more than that. A Gram of ``gram``'s rotation route brings its first
-    columns and ||G - C||_F^2; for any other they are read off its matrix.
+    block, which a Gram of ``gram``'s rotation route brings with a bound on
+    ||G - C||_F, C the block-circulant matrix rebuilt from them (see
+    ``kernels._circulant_bound``). They are used only when that bound is at
+    most 0.1 tol max(1, G.peak); by Weyl's inequality no eigenvalue then
+    moves by more than that. Any other Gram takes the dense route.
     """
-    shape = kx._circulant_shape(G.kernel, G.point_set)
-    if shape is None or shape[0] * shape[1] != G.size:
-        return None
-    # A non-finite entry would leave inf - inf in G - C; _as_matrix refuses it.
-    if not math.isfinite(G.peak):
-        return None
     if G._circulant is None:
-        R, A = shape
-        G4 = G.matrix.reshape(R, A, R, A)
-        first, dev2 = G4[:, :, :, 0], _circulant_dev2(G4)
-    else:
-        first, dev2 = G._circulant
-    if not math.sqrt(dev2) <= 0.1 * tol * max(1.0, G.peak):
+        return None
+    first, bound = G._circulant
+    if not bound <= 0.1 * tol * max(1.0, G.peak):
         return None
     blocks = np.fft.fft(first, axis=1).transpose(1, 0, 2)
     return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))

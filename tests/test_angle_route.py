@@ -156,8 +156,8 @@ def test_matrix_off_block_circulant_takes_dense_route():
     )
     assert _angle_blocks(perturbed, DEFAULT_TOL) is None
     assert is_psd(perturbed) == is_psd(perturbed.matrix)
-    # A tolerance of 0 admits no deviation at all, so rounding alone sends
-    # the exact Gram to the dense route.
+    # A tolerance of 0 admits no rounding at all, and the rounding bound of
+    # a nonzero kernel is positive, so the Gram takes the dense route.
     assert _angle_blocks(G, 0.0) is None
 
 

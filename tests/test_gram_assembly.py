@@ -1,23 +1,24 @@
-"""Gram assembly in strips, and the angular route's check on a circulant view.
+"""Gram assembly in strips, the rotation route's first columns, and its bound.
 
 ``kernels.gram`` evaluates the kernel and symmetrizes it one strip of rows
 at a time, each pair of points once, on W threads, and keeps max |G_ij| as
-``GramMatrix.peak``; ``psd._circulant_dev2`` rebuilds the block-circulant
-matrix as a strided view. The whole-matrix evaluation and symmetrization
-and the per-radius deviation loop they replace are kept below verbatim as
-the reference. Every matrix, asymmetry, peak, deviation, error message and
-route choice must be bit-identical to it.
+``GramMatrix.peak``. The whole-matrix evaluation and symmetrization it
+replaces is kept below verbatim as the reference: every matrix, asymmetry,
+peak and error message must be bit-identical to it.
 
-This file also checks routed Grams (``tests/test_gram_route.py``) against the
-whole-matrix reference, which has the bits of the dense assembly, as the
-``explicit-*`` cases show at every W. A routed Gram keeps no matrix, so its
-diagonal, peak, asymmetry and deviation are compared with the reference
-before its ``matrix`` is read. ``test_routed_gram_keeps_the_bits_of_the_dense_assembly``
-in ``tests/test_gram_route.py`` checks the route blocks of the same Gram:
-each routed (kernel, grid, W) Gram is assembled once for both tests.
+On a radial grid a rotation-invariant kernel's Gram takes the rotation
+route: ``gram`` evaluates only the first column of each A x A block and the
+diagonal, and bounds ||G - C||_F a priori (``kernels._circulant_bound``), C
+the block-circulant matrix of those columns. Its columns and diagonal must
+have the reference's bits, and its peak and asymmetry those of the
+reference read on the same entries. The per-radius loop ``_reference_check``
+measures ||G - C||_F on the reference matrix: the bound must be at least
+that, and the route must be taken exactly where the measured deviation
+took it, at every tolerance of ``TOLERANCES``
+(``test_routed_gram_keeps_the_bits_of_the_dense_assembly`` in
+``tests/test_gram_route.py`` checks the route blocks).
 """
 
-import copy
 import functools
 import math
 import struct
@@ -37,15 +38,21 @@ from diskkernels.kernels import (
     gram,
     sample_grid,
 )
-from diskkernels.psd import DEFAULT_TOL, _angle_blocks, _circulant_dev2, is_psd
+from diskkernels.psd import DEFAULT_TOL, _angle_blocks, is_psd
 from diskkernels.specs import parse_function, parse_kernel
 
 
-def _reference_gram(kernel, points):
-    """(matrix, asymmetry, peak) of the whole-matrix symmetrization, or its error."""
+def _reference_raw(kernel, points):
+    """K(p_i, p_j) on the whole matrix at once."""
     arr = points.array
     with np.errstate(all="ignore"):
-        raw = np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
+        return np.asarray(kernel.eval(arr[:, None], arr[None, :]), dtype=complex)
+
+
+def _reference_gram(kernel, points, raw=None):
+    """(matrix, asymmetry, peak) of the whole-matrix symmetrization, or its error."""
+    raw = _reference_raw(kernel, points) if raw is None else raw
+    with np.errstate(all="ignore"):
         asym = float(np.max(np.abs(raw - raw.conj().T)))
         sym = 0.5 * (raw + raw.conj().T)
         # A non-finite raw entry, or a sum that overflows, leaves sym
@@ -62,33 +69,29 @@ def _reference_gram(kernel, points):
     return sym, asym, peak
 
 
-def _reference_check(G):
-    """(dev2, peak) of the per-radius loop over the gathered circulant."""
-    grid = G.point_set.spec
-    R, A = len(grid.radii), grid.angles
-    G4 = G.matrix.reshape(R, A, R, A)
+def _reference_check(matrix, R, A):
+    """||G - C||_F of the per-radius loop over the gathered circulant."""
+    G4 = matrix.reshape(R, A, R, A)
     first = G4[:, :, :, 0]
     lag = (np.arange(A)[:, None] - np.arange(A)[None, :]) % A
     dev2 = 0.0
-    peak = 0.0
     for a in range(R):
         # C[p, b, q] = first[a, (p - q) mod A, b], one block-row at a time.
         diff = G4[a] - first[a][lag].transpose(0, 2, 1)
         dev2 += float(np.vdot(diff, diff).real)
-        peak = max(peak, float(np.max(np.abs(G4[a]))))
-    return dev2, peak
+    return math.sqrt(dev2)
+
+
+def _reference_blocks(matrix, R, A, dev, peak, tol):
+    """The route's blocks read off a dense Gram, when the measured deviation admits them."""
+    if not dev <= 0.1 * tol * max(1.0, peak):
+        return None
+    blocks = np.fft.fft(matrix.reshape(R, A, R, A)[:, :, :, 0], axis=1).transpose(1, 0, 2)
+    return 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
 
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
-
-
-def _invariant(kernel) -> bool:
-    try:
-        kernel.diagonal_series(0)
-    except ValueError:
-        return False
-    return True
 
 
 KERNELS = [
@@ -167,33 +170,22 @@ TOLERANCES = (DEFAULT_TOL, 0.0, 1e-3)
 
 
 def _check_route(G, tols=TOLERANCES):
-    """The route's blocks of G at each tolerance, each route choice checked
-    against the reference loop, which runs once for all of them."""
+    """The route's blocks of a Gram off the route, at each tolerance: all None."""
     blocks = [_angle_blocks(G, tol) for tol in tols]
-    spec = G.point_set.spec
-    if not (isinstance(spec, RadialGrid) and _invariant(G.kernel)):
-        assert all(b is None for b in blocks)
-        return blocks
-    R, A = len(spec.radii), spec.angles
-    dev2, peak = _reference_check(G)
-    ours = _circulant_dev2(G.matrix.reshape(R, A, R, A))
-    assert _bits(ours) == _bits(dev2) or (math.isnan(ours) and math.isnan(dev2))
-    for tol, b in zip(tols, blocks):
-        assert (b is not None) == (math.sqrt(dev2) <= 0.1 * tol * max(1.0, peak))
-    return blocks
+    assert G._circulant is None and all(b is None for b in blocks)
 
 
 def _routed(text, grid):
-    """Whether ``gram`` assembles the case on the rotation route, keeping no matrix."""
-    return grid in SPLIT and kx._circulant_shape(parse_kernel(text), POINT_SETS[grid]) is not None
+    """Whether ``gram`` builds the case on the rotation route, keeping no matrix."""
+    return kx._circulant_shape(parse_kernel(text), POINT_SETS[grid]) is not None
 
 
 def _cases():
     """(text, grid, W) for every kernel on every point set at the W of this
     machine, then, for a Gram of more than one strip, at each W in WORKERS.
 
-    The cases of one (text, grid) are consecutive, so ``_reference`` and
-    ``_dense`` build each reference once.
+    The cases of one (text, grid) are consecutive, so ``_reference`` builds
+    each reference once.
     """
     for text in KERNELS:
         for grid in POINT_SETS:
@@ -205,37 +197,36 @@ def _cases():
 
 @functools.lru_cache(maxsize=1)
 def _reference(text, grid):
-    return _reference_gram(parse_kernel(text), POINT_SETS[grid])
+    """The reference of a case and, for a routed one, what the route reads
+    of it: the first columns' and the diagonal's asymmetry and peak."""
+    kernel, points = parse_kernel(text), POINT_SETS[grid]
+    raw = _reference_raw(kernel, points)
+    expected = _reference_gram(kernel, points, raw)
+    if not _routed(text, grid):
+        return expected, None
+    matrix = expected[0]
+    cols = np.arange(0, len(points), points.spec.angles)
+    with np.errstate(all="ignore"):
+        asym = max(
+            float(np.max(np.abs(raw[:, cols] - raw[cols].conj().T))),
+            float(np.max(np.abs(raw.diagonal() - raw.diagonal().conj()))),
+        )
+    peak = max(
+        float(np.max(np.abs(matrix[:, cols]))), float(np.max(np.abs(matrix.diagonal())))
+    )
+    return expected, (asym, peak)
 
 
 @functools.cache
-def _dense(text, grid):
-    """The dense side of a routed case: the route blocks, at each tolerance,
-    of a Gram built on the reference matrix, its deviation, and a slot for
-    the routed deviation of the first W. Kept for every (kernel, grid), so
-    that the route blocks' test finds them after the reference is gone."""
-    matrix, asym, _ = _reference(text, grid)
-    points = POINT_SETS[grid]
-    D = GramMatrix(matrix=matrix, point_set=points, kernel=parse_kernel(text), asymmetry=asym)
-    R, A = len(points.spec.radii), points.spec.angles
-    return _check_route(D), _circulant_dev2(matrix.reshape(R, A, R, A)), {}
-
-
-# Routed Grams assembled by one of their two tests and not yet taken by the
-# other, by (text, grid, W).
-_SHARED = {}
-
-
-def _routed_gram(text, grid, w):
-    """The Gram of the routed case (text, grid, W), assembled once for the two
-    tests that check it. The first to run assembles it and leaves a copy,
-    which the second takes; the copy shares the kept arrays, but not a
-    ``matrix`` that the first reads."""
-    G = _SHARED.pop((text, grid, w), None)
-    if G is None:
-        G = gram(parse_kernel(text), POINT_SETS[grid])
-        _SHARED[text, grid, w] = copy.copy(G)
-    return G
+def _reference_route(text, grid):
+    """(the measured ||G - C||_F, the reference route's blocks at each
+    tolerance) of a routed case, kept for every (kernel, grid), so that the
+    route blocks' test finds them after the reference is gone."""
+    (matrix, _, peak), _ = _reference(text, grid)
+    spec = POINT_SETS[grid].spec
+    R, A = len(spec.radii), spec.angles
+    dev = _reference_check(matrix, R, A)
+    return dev, [_reference_blocks(matrix, R, A, dev, peak, tol) for tol in TOLERANCES]
 
 
 @pytest.mark.parametrize("text, grid, w", _cases())
@@ -243,29 +234,54 @@ def test_gram_and_route_match_the_reference(text, grid, w, monkeypatch):
     if w is not None:
         # Assembled by W - 1 helper threads and the calling one.
         monkeypatch.setattr(kx, "_gram_workers", lambda: w)
-    if not _routed(text, grid):
-        G = gram(parse_kernel(text), POINT_SETS[grid])
-        _assert_reference_bits(G, _reference(text, grid))
+    G = gram(parse_kernel(text), POINT_SETS[grid])
+    expected, route = _reference(text, grid)
+    if route is None:
+        _assert_reference_bits(G, expected)
         _check_route(G)
         return
-    # A routed Gram holds no matrix until it is read, and what it keeps has
-    # the bits of the reference (its route blocks: tests/test_gram_route.py).
-    G = _routed_gram(text, grid, w)
-    matrix, asym, peak = _reference(text, grid)
-    _, dev2, seen = _dense(text, grid)
+    # A routed Gram holds no matrix until it is read. Its columns and
+    # diagonal have the bits of the reference, and its asymmetry and peak
+    # are the reference's on those entries.
+    matrix = expected[0]
+    spec = POINT_SETS[grid].spec
+    R, A = len(spec.radii), spec.angles
     assert G._matrix is None and G._circulant is not None
-    assert _bits(G.peak) == _bits(peak)
-    assert _bits(G.asymmetry) == _bits(asym)
+    first, bound = G._circulant
+    assert first.tobytes() == matrix.reshape(R, A, R, A)[:, :, :, 0].tobytes()
     assert G.diagonal.tobytes() == matrix.diagonal().tobytes()
-    # The stored deviation is the same sum in another order ...
-    ours = G._circulant[1]
-    assert ours == pytest.approx(dev2, rel=1e-12, abs=1e-300)
-    # ... with the same bits for every W.
-    assert _bits(seen.setdefault("dev2", ours)) == _bits(ours)
+    assert (_bits(G.asymmetry), _bits(G.peak)) == tuple(map(_bits, route))
+    # The bound holds the measured deviation (route blocks: tests/test_gram_route.py).
+    assert bound >= _reference_route(text, grid)[0]
     # The matrix is read once per kernel and grid: the explicit-* cases
     # check the dense assembly against the reference at every W.
     if w is None:
         assert G.matrix.tobytes() == matrix.tobytes()
+
+
+BOUNDARY = {
+    "to-0.99": sample_grid(RadialGrid((0.3, 0.6, 0.9, 0.99), 40)),
+    "to-0.999": sample_grid(RadialGrid((0.5, 0.9, 0.97, 0.999), 37)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BOUNDARY))
+@pytest.mark.parametrize("text", [t for t in KERNELS if _routed(t, "radial-160")])
+def test_the_bound_holds_near_the_boundary(text, grid):
+    # The bound may send such Grams to the dense route, but never below
+    # the measured deviation, and the route is never taken where that
+    # deviation refuses it.
+    points = BOUNDARY[grid]
+    kernel = parse_kernel(text)
+    R, A = len(points.spec.radii), points.spec.angles
+    G = gram(kernel, points)
+    matrix, _, peak = _reference_gram(kernel, points)
+    dev = _reference_check(matrix, R, A)
+    bound = G._circulant[1]
+    assert bound >= dev
+    for tol in TOLERANCES:
+        if _angle_blocks(G, tol) is not None:
+            assert _reference_blocks(matrix, R, A, dev, peak, tol) is not None
 
 
 def test_every_node_kind_and_both_routes_are_covered():
@@ -290,6 +306,7 @@ class _Planted:
     ``entries`` holds ((i, j), value) by point index. The value is planted
     at the pair (p_i, p_j) of points, wherever that pair falls in the block
     ``eval`` is asked for: ``gram`` evaluates strips, not the whole matrix.
+    It has no ``rounding_bound``, so its Grams are dense on any grid.
     """
 
     def __init__(self, points=None, entries=(), skew=0.0):
@@ -302,9 +319,6 @@ class _Planted:
         for (zi, wj), value in self.entries:
             out[(z == zi) & (w == wj)] = value
         return out
-
-    def diagonal_series(self, order):
-        return np.ones(order + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 481, 1025])
@@ -347,7 +361,9 @@ def _direct(G, matrix):
 
 @pytest.mark.parametrize("n", [1, 2, 64, 65, 160, 481])
 def test_directly_built_grams_compute_their_peak(n):
-    G = gram(parse_kernel("bergman[alpha=0.5]"), POINT_SETS["radial-%d" % n])
+    # The dense assembly, as a routed Gram would give its matrix; a Gram
+    # built directly takes the dense route whatever its points.
+    G = kx._gram(parse_kernel("bergman[alpha=0.5]"), POINT_SETS["radial-%d" % n])
     rng = np.random.default_rng(n)
     E = rng.normal(size=G.matrix.shape) * 1e-6
     planted = G.matrix.copy()
@@ -365,12 +381,8 @@ def test_directly_built_grams_compute_their_peak(n):
         assert _bits(D.peak) == _bits(expected) or (
             math.isnan(D.peak) and math.isnan(expected)
         )
-        # inf - inf in the reference deviation warns; the route check in
-        # is_psd skips a matrix whose peak is not finite.
-        with np.errstate(invalid="ignore"):
-            _check_route(D)
+        _check_route(D)
         if not math.isfinite(expected):
-            assert _angle_blocks(D, DEFAULT_TOL) is None
             with pytest.raises(ValueError, match="non-finite"):
                 is_psd(D)
     # gram() fills the peak in its pass; a direct build recomputes the same bits.

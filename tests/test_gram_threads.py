@@ -109,7 +109,7 @@ def test_one_worker_starts_no_thread(workers, no_thread_start):
 
 def test_a_one_strip_gram_starts_no_thread(workers, no_thread_start):
     workers(5)
-    gram(parse_kernel("szego"), POINT_SETS["radial-160"])
+    gram(parse_kernel("szego"), POINT_SETS["explicit-160"])
 
 
 def test_no_helper_outlives_its_gram(workers, monkeypatch):

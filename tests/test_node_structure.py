@@ -291,6 +291,7 @@ def test_psd_names_no_symbol_class_and_no_series_ladder():
 def test_every_node_and_symbol_class_answers_its_own_structure():
     for cls in typing.get_args(kx.KernelExpr):
         assert "diagonal_series" in vars(cls), cls.__name__
+        assert "rounding_bound" in vars(cls), cls.__name__
     symbols = typing.get_args(functions.SchurFunction) + (NormalizedZeroKernel,)
     assert {cls.__name__ for cls in symbols} == SYMBOL_CLASSES
     for cls in symbols:
