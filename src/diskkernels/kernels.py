@@ -8,7 +8,8 @@ assemble Hermitian Gram matrices over validated point sets.
 Every node has ``eval(z, w)``, ``diagonal_series(order)``, the c_0..c_order
 of a kernel f(z conj(w)) = sum_n c_n (z conj(w))^n, and ``rounding_bound(x)``
 (see ``_circulant_bound``); the latter two raise ValueError when a symbol in
-the tree is not c z^k (its ``monomial()`` is None).
+the tree is not c z^k (its ``monomial()`` is None). ``entry_bound(points)``
+is a majorant of the Gram's entries on the points (see ``_leaf_entry_bound``).
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class Szego:
     def rounding_bound(self, x):
         return _bergman_bound(1.0, x)
 
+    def entry_bound(self, points):
+        return _leaf_entry_bound(1.0, points)
+
 
 @dataclass(frozen=True)
 class WeightedBergman:
@@ -85,6 +89,9 @@ class WeightedBergman:
     def rounding_bound(self, x):
         return _bergman_bound(self.alpha + 2.0, x)
 
+    def entry_bound(self, points):
+        return _leaf_entry_bound(self.alpha + 2.0, points)
+
 
 @dataclass(frozen=True)
 class DBR:
@@ -105,6 +112,10 @@ class DBR:
 
     def rounding_bound(self, x):
         return _symbol_leaf_bound(_symbol_monomial(self.b, "symbol"), 1.0, x)
+
+    def entry_bound(self, points):
+        base = _leaf_entry_bound(1.0, points)
+        return _entry_slack((1.0 + _squared_peak(self.b, points)) * base)
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,10 @@ class SubBergman:
     def rounding_bound(self, x):
         return _symbol_leaf_bound(_symbol_monomial(self.b, "symbol"), self.alpha + 2.0, x)
 
+    def entry_bound(self, points):
+        base = _leaf_entry_bound(self.alpha + 2.0, points)
+        return _entry_slack((1.0 + _squared_peak(self.b, points)) * base)
+
 
 @dataclass(frozen=True)
 class Sum:
@@ -150,6 +165,9 @@ class Sum:
 
     def rounding_bound(self, x):
         return _added_bound(self.left.rounding_bound(x), self.right.rounding_bound(x))
+
+    def entry_bound(self, points):
+        return _entry_slack(self.left.entry_bound(points) + self.right.entry_bound(points))
 
 
 @dataclass(frozen=True)
@@ -172,6 +190,9 @@ class SchurProduct:
         m1, l1, e1 = self.left.rounding_bound(x)
         m2, l2, e2 = self.right.rounding_bound(x)
         return m1 * m2, l1 * m2 + m1 * l2, e1 * m2 + m1 * e2 + _MUL * m1 * m2
+
+    def entry_bound(self, points):
+        return _entry_slack(self.left.entry_bound(points) * self.right.entry_bound(points))
 
 
 @dataclass(frozen=True)
@@ -197,6 +218,9 @@ class Scale:
         m, l, e = self.operand.rounding_bound(x)
         return self.factor * m, self.factor * l, self.factor * (e + UNIT_ROUNDOFF * m)
 
+    def entry_bound(self, points):
+        return _entry_slack(self.factor * self.operand.entry_bound(points))
+
 
 @dataclass(frozen=True)
 class Difference:
@@ -217,6 +241,9 @@ class Difference:
             zero = 0.0 * np.asarray(x)
             return zero, zero, zero
         return _added_bound(self.left.rounding_bound(x), self.right.rounding_bound(x))
+
+    def entry_bound(self, points):
+        return _entry_slack(self.left.entry_bound(points) + self.right.entry_bound(points))
 
 
 @dataclass(frozen=True)
@@ -243,6 +270,9 @@ class ConjugateScale:
         c2 = abs(c) * abs(c)
         s, ds = c2 * x**k, c2 * k * x ** max(k - 1, 0)
         return s * m, s * l + ds * m, s * (e + (2 * k + 2) * _MUL * m)
+
+    def entry_bound(self, points):
+        return _entry_slack(_squared_peak(self.func, points) * self.operand.entry_bound(points))
 
 
 KernelExpr = Union[
@@ -297,11 +327,16 @@ def _symbol_monomial(f, role: str) -> tuple:
 
 
 def _shifted(series: np.ndarray, mono: tuple) -> np.ndarray:
-    """|c|^2 times the series shifted right by k, for a symbol c z^k."""
+    """|c|^2 times the series shifted right by k, for a symbol c z^k; ValueError on overflow."""
     c, k = mono
+    try:
+        c2 = abs(c) ** 2
+    except OverflowError:
+        message = "symbol coefficient |c| = %g is too large: |c|^2 overflows" % abs(c)
+        raise ValueError(message) from None
     out = np.zeros(len(series))
     if k < len(series):
-        out[k:] = (abs(c) ** 2) * series[: len(series) - k]
+        out[k:] = c2 * series[: len(series) - k]
     return out
 
 
@@ -324,6 +359,43 @@ def _bergman_bound(p: float, x):
     else:
         own = (10.0 * p + 5.0 + 5.0 * p * np.log(g)) * UNIT_ROUNDOFF
     return m, p * g * m, (p * (_MUL * x * g + UNIT_ROUNDOFF) + own) * m
+
+
+def _leaf_entry_bound(p: float, points: np.ndarray) -> float:
+    """``entry_bound`` of (1 - conj(w) z)^-p: E >= max |G_ij| on the points, in O(n).
+
+    |1 - conj(w) z| >= 1 - r^2, r = max |p|, taken as (1 - r)(1 + r), which
+    does not cancel. With abs within one ulp, conj(w) z within _MUL and 1 - t
+    rounded once, the computed |1 - conj(w) z| is at least d = (1 - r)(1 +
+    r) - 16 u, and the power adds at most (10 p + 5 + 5 p log(1/d)) u, the
+    bound of ``_bergman_bound`` for any p. The nodes combine bounds as
+    ``eval`` combines values: DBR and SubBergman multiply by
+    1 + max |b(p)|^2, Sum and Difference add, Scale and SchurProduct
+    multiply, and ConjugateScale multiplies by max |f(p)|^2. Each passes
+    its bound through ``_entry_slack``, which covers its own products,
+    quotient and sum, the rounding of the bound and the Gram's
+    symmetrization, gradual underflow included. Symbols are evaluated on
+    every point in ``eval``'s order, so one refusing a point raises what
+    the assembly raises first. A bound that overflows is inf or NaN.
+    """
+    r = float(np.max(np.abs(points)))
+    d = (1.0 - r) * (1.0 + r) - 16.0 * UNIT_ROUNDOFF
+    if not d > 0.0:
+        return math.inf
+    own = (10.0 * p + 5.0 - 5.0 * p * math.log(d)) * UNIT_ROUNDOFF
+    with np.errstate(over="ignore"):
+        return _entry_slack(float(np.power(d, -p)) * (1.0 + own))
+
+
+def _entry_slack(bound: float) -> float:
+    """bound (1 + 16 u) + 16 eta, eta = 2^-1074: a node's roundings (``_leaf_entry_bound``)."""
+    return bound * (1.0 + 16.0 * UNIT_ROUNDOFF) + 16.0 * math.ulp(0.0)
+
+
+def _squared_peak(f, points: np.ndarray) -> float:
+    """max |f(p)|^2 on the points, plus eta for an underflowing f(z) conj(f(w)); inf on overflow."""
+    peak = float(np.max(np.abs(f.eval(points))))
+    return peak * peak + math.ulp(0.0)
 
 
 def _symbol_leaf_bound(mono: tuple, p: float, x):
@@ -553,7 +625,13 @@ def sample_grid(spec: GridSpec) -> PointSet:
 
 
 def _first_crowded(pts: np.ndarray) -> Optional[int]:
-    """Smallest i with |pts[i] - pts[j]| < MIN_SEPARATION for some j < i, or None.
+    """Smallest i with |pts[i] - pts[j]| < MIN_SEPARATION for some j < i, or None."""
+    later = _close_pairs(pts)[1]
+    return int(np.min(later)) if len(later) else None
+
+
+def _close_pairs(pts: np.ndarray) -> np.ndarray:
+    """Every pair i < j with |pts[i] - pts[j]| < MIN_SEPARATION, as a (2, pairs) array of (i, j).
 
     The one place that compares pairs of points. Sorted by real part, a pair
     closer than MIN_SEPARATION is d places apart for some lag d, and its real
@@ -569,16 +647,15 @@ def _first_crowded(pts: np.ndarray) -> Optional[int]:
     order = np.argsort(pts.real, kind="stable")
     s = pts[order]
     x = pts.real[order]
-    first = len(s)
+    pairs = [np.empty((2, 0), dtype=np.intp)]
     for d in range(1, len(s)):
         near = np.flatnonzero(x[d:] - x[:-d] < eps)
         if len(near) == 0:
             break
         close = near[np.abs(s[near + d] - s[near]) < eps]
         if len(close):
-            later = np.maximum(order[close], order[close + d])
-            first = min(first, int(np.min(later)))
-    return first if first < len(s) else None
+            pairs.append(np.sort([order[close], order[close + d]], axis=0))
+    return np.concatenate(pairs, axis=1)
 
 
 def _random_points(spec: RandomGrid) -> np.ndarray:
@@ -587,34 +664,33 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
     Each candidate is the next two uniforms u, v of the stream, at radius
     rmax sqrt(u) and angle 2 pi v, and is kept when it lies at least
     MIN_SEPARATION from every point kept before it. Candidates are drawn
-    as many at a time as points are missing; the first one too close to an
-    earlier point is dropped, the draws after it move up, and the rest is
-    checked again. Sampling gives up at the (64 count)-th refused draw:
-    ``RandomGrid`` refuses grids with more than half the points that fit,
-    and some grids below that still stall.
+    as many at a time as points are missing, and the close pairs among
+    them and the kept points are found once per draw. Then, in stream
+    order, a candidate is refused when it is close to a kept point or to
+    an earlier candidate not refused. Sampling gives up at the
+    (64 count)-th refused draw: ``RandomGrid`` refuses grids with more than
+    half the points that fit, and some grids below that still stall.
     """
     rng = np.random.default_rng(spec.seed)
     pts = np.empty(spec.count, dtype=complex)
-    k = m = 0  # pts[:k] are kept; pts[k:k + m] are drawn and not yet checked
-    refused = 0
+    k = refused = 0  # pts[:k] are kept
     while k < spec.count:
-        if m == 0:
-            m = spec.count - k
-            u = rng.random((m, 2))
-            radius = spec.rmax * np.sqrt(u[:, 0])
-            angle = 2.0 * np.pi * u[:, 1]
-            pts.real[k:] = radius * np.cos(angle)
-            pts.imag[k:] = radius * np.sin(angle)
-        crowded = _first_crowded(pts[: k + m])
-        if crowded is None:
-            k, m = k + m, 0
-        else:
-            refused += 1
-            if refused == 64 * spec.count:
-                raise ValueError(_crowded_message(spec, "%d draws were refused" % refused))
-            m -= crowded - k + 1
-            k = crowded
-            pts[k : k + m] = pts[k + 1 : k + 1 + m]
+        u = rng.random((spec.count - k, 2))
+        radius = spec.rmax * np.sqrt(u[:, 0])
+        angle = 2.0 * np.pi * u[:, 1]
+        pts.real[k:] = radius * np.cos(angle)
+        pts.imag[k:] = radius * np.sin(angle)
+        earlier, later = _close_pairs(pts)
+        out = np.zeros(spec.count, dtype=bool)
+        for i in np.argsort(later, kind="stable"):
+            if not (out[earlier[i]] or out[later[i]]):
+                out[later[i]] = True
+                refused += 1
+                if refused == 64 * spec.count:
+                    raise ValueError(_crowded_message(spec, "%d draws were refused" % refused))
+        kept = pts[k:][~out[k:]]
+        pts[k : k + len(kept)] = kept
+        k += len(kept)
     return pts
 
 
@@ -700,6 +776,27 @@ def gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     _check_entries(asym, peak)
     bound = _circulant_bound(kernel, np.array(points.spec.radii), shape[1])
     return GramMatrix._routed(points, kernel, asym, peak, diagonal, (first, bound))
+
+
+def _check_gram_size(n: int) -> None:
+    check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
+
+
+def _gram_diagonal(kernel: KernelExpr, points: PointSet) -> Optional[tuple]:
+    """(real G_ii, ``entry_bound``) of ``gram(kernel, points)``, in O(n); None if a node lacks one.
+
+    G_ii = (K(p_i, p_i) + conj K(p_i, p_i)) 0.5, with the assembly's bits.
+    The size check and the symbols on every point come first, as in the
+    assembly, so this raises the error the assembly would raise first.
+    """
+    _check_gram_size(len(points))
+    with np.errstate(all="ignore"):
+        try:
+            bound = kernel.entry_bound(points.array)
+        except AttributeError:
+            return None
+        raw = np.asarray(kernel.eval(points.array, points.array), dtype=complex)
+        return np.multiply(np.add(raw, np.conjugate(raw)), 0.5).real, bound
 
 
 def _check_entries(asym: float, peak: float) -> None:
@@ -791,7 +888,7 @@ def _gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
     ``_run_strips``).
     """
     n = len(points)
-    check_dense_size(n, "a Gram matrix of %s points" % _fmt_count(n))
+    _check_gram_size(n)
     arr = points.array
     rows, threads = _strip_plan(n, _gram_workers())
     sym = np.empty((n, n), dtype=complex)

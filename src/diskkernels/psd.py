@@ -274,18 +274,11 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
     from ``eigvalsh`` decides the same way unless that solver errs by more
     than t/2. At tol = 0 only a refutation, by a diagonal below -c, decides.
     """
-    n = len(M)
-    diag = M.diagonal().real
-    # A sum that overflows leaves rho_lo, c or rho_hi infinite; they are checked.
-    with np.errstate(over="ignore"):
-        rho_lo = max(1.0, peak, float(np.max(np.abs(diag))), float(np.sum(diag)) / n)
-        shift = 0.5 * tol * rho_lo
-        slack = _cholesky_slack(diag, shift)
-        lowest = float(np.min(diag))
-        if lowest < -slack:
-            rho_hi = math.sqrt(np.vdot(M, M).real)
-            if math.isfinite(rho_hi) and lowest < -(2.0 * tol * max(1.0, rho_hi) + slack):
-                return False
+    refuted, shift, slack = _refutation(
+        M.diagonal().real, tol, peak, lambda: math.sqrt(np.vdot(M, M).real)
+    )
+    if refuted:
+        return False
     if shift > slack:
         try:
             _cholesky_panels(M, shift - slack)
@@ -293,6 +286,42 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
             return None
         return True
     return None
+
+
+def _refutation(diag: np.ndarray, tol: float, peak: float, rho_hi: Callable[[], float]) -> tuple:
+    """(refuted, s, c) of ``_certificate`` for a Hermitian M of real diagonal ``diag``.
+
+    ``peak`` is max |M_ij| or a lower bound on it; rho_hi(), at least the
+    spectral norm, is called only when some M_ii < -c. A sum that
+    overflows, or a non-finite diagonal, leaves c or rho_hi non-finite,
+    which refutes nothing.
+    """
+    n = len(diag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_lo = max(1.0, peak, float(np.max(np.abs(diag))), float(np.sum(diag)) / n)
+        shift = 0.5 * tol * rho_lo
+        slack = _cholesky_slack(diag, shift)
+        lowest = float(np.min(diag))
+        if not lowest < -slack:
+            return False, shift, slack
+        hi = rho_hi()
+        return math.isfinite(hi) and lowest < -(2.0 * tol * max(1.0, hi) + slack), shift, slack
+
+
+def _refuted_on_diagonal(found, tol: float, assemble: Callable) -> Optional[PsdVerdict]:
+    """A refuted verdict read off a test matrix M's diagonal, or None.
+
+    ``found`` is None, or M's real diagonal, with the assembled M's bits,
+    and E >= max |M_ij|, so rho <= n max |M_ij| <= 2 n E. The verdict holds
+    no n x n array: ``assemble()``, the verdict of the assembled M, gives
+    its spectrum when ``min_eigenvalue`` or ``spectral_norm`` is first read.
+    """
+    if found is None:
+        return None
+    diag, bound = found
+    if not _refutation(diag, tol, 0.0, lambda: 2.0 * len(diag) * bound)[0]:
+        return None
+    return PsdVerdict(False, tol, lambda: assemble().spectrum())
 
 
 def _cholesky_panels(M: np.ndarray, shift: float) -> list[np.ndarray]:
@@ -522,7 +551,8 @@ def membership_check(
 
     Checks c^2 G - v v* >= 0 with v the values of f on the grid; f may be
     any evaluable symbol or plain callable. PSD means "not refuted here";
-    a refutation certifies f is not in the space with norm at most c.
+    a refutation certifies f is not in the space with norm at most c. A
+    diagonal that refutes decides before any assembly (``_refuted_on_diagonal``).
     """
     c = ensure_finite(c, "norm bound c")
     if c <= 0.0:
@@ -531,11 +561,23 @@ def membership_check(
     # Overflow shows as non-finite entries, which is_psd rejects.
     with np.errstate(all="ignore"):
         v = _values_on(f, points.array)
-        test = c * c * gram(kernel, points._without_spec()).matrix
-        vh = v.conj()
-        for s in range(0, len(v), FACTOR_BLOCK):
-            test[s : s + FACTOR_BLOCK] -= np.outer(v[s : s + FACTOR_BLOCK], vh)
-    return is_psd(test, tol)
+
+    def verdict() -> PsdVerdict:
+        with np.errstate(all="ignore"):
+            test = c * c * gram(kernel, points._without_spec()).matrix
+            vh = v.conj()
+            for s in range(0, len(v), FACTOR_BLOCK):
+                test[s : s + FACTOR_BLOCK] -= np.outer(v[s : s + FACTOR_BLOCK], vh)
+        return is_psd(test, tol)
+
+    found = kx._gram_diagonal(kernel, points)
+    if found is not None:
+        g, bound = found
+        # The diagonal of c^2 G - v v*; is_psd's (T + T*) * 0.5 keeps its real part.
+        with np.errstate(all="ignore"):
+            peak = float(np.max(np.abs(v)))
+            found = c * c * g - (v * v.conj()).real, kx._entry_slack(c * c * bound + peak * peak)
+    return _refuted_on_diagonal(found, tol, verdict) or verdict()
 
 
 def multiplier_check(
@@ -544,7 +586,8 @@ def multiplier_check(
     """Test the multiplier-norm criterion ||M_phi|| <= delta on a grid.
 
     Checks (delta^2 - phi(z) conj(phi(w))) K(z, w) >= 0, assembled through
-    the kernel algebra.
+    the kernel algebra, unless its diagonal refutes it first, as in
+    ``membership_check``.
     """
     delta = ensure_finite(delta, "multiplier bound delta")
     if delta <= 0.0:
@@ -553,7 +596,11 @@ def multiplier_check(
     expr = kx.Difference(
         kx.Scale(delta * delta, kernel), kx.ConjugateScale(phi, kernel)
     )
-    return is_psd(gram(expr, points), tol)
+
+    def verdict() -> PsdVerdict:
+        return is_psd(gram(expr, points), tol)
+
+    return _refuted_on_diagonal(kx._gram_diagonal(expr, points), tol, verdict) or verdict()
 
 
 def refutation_scan(

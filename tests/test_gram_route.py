@@ -241,3 +241,32 @@ def test_a_routed_gram_on_explicit_points_is_dense():
     assert kx._circulant_shape(kx.Szego(), points) is None
     G = gram(kx.Szego(), points)
     assert G._circulant is None and not math.isnan(G.peak)
+
+
+class _CountingWithBound(_Counting):
+    """A counting kernel that forwards ``entry_bound``, as every kernel node has it."""
+
+    def entry_bound(self, points):
+        return self.kernel.entry_bound(points)
+
+
+def test_a_refuted_membership_check_evaluates_the_diagonal_only():
+    n = len(RADIAL)
+    f = parse_function("poly[0.1,0.2]", schur=False)
+    K = _CountingWithBound(kx.Szego())
+    verdict = membership_check(f, K, 0.01, RADIAL)
+    assert not verdict.is_psd and K.entries == n
+    # The spectrum assembles the test matrix when it is first read, once.
+    verdict.min_eigenvalue
+    verdict.spectral_norm
+    assert K.entries == n + n * n
+
+    # Without entry_bound the check assembles at once, and evaluates no diagonal first.
+    K = _Counting(kx.Szego())
+    assert not membership_check(f, K, 0.01, RADIAL).is_psd
+    assert K.entries == n * n
+
+    # A check the diagonal does not refute evaluates it, then assembles.
+    K = _CountingWithBound(kx.Szego())
+    assert membership_check(f, K, 2.0, RADIAL).is_psd
+    assert K.entries == n + n * n

@@ -329,3 +329,14 @@ def test_verify_still_runs_nonconstant_monomials_and_blaschke_products():
     for b in (TaylorPolynomial((0.0, 0.5)), BlaschkeProduct((0.0, 0.0))):
         assert verify_inclusion(b, 0.0, GRID).verdict == "pass"
     assert verify_equality_forward(BlaschkeProduct((0.0,)), 0.0, GRID).verdict == "pass"
+
+
+def test_every_node_class_bounds_its_entries():
+    tree = ast.parse(pathlib.Path(kx.__file__).read_text())
+    defined = {
+        node.name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    for cls in typing.get_args(kx.KernelExpr):
+        assert "entry_bound" in defined[cls.__name__], cls.__name__
