@@ -17,6 +17,7 @@ import numpy as np
 
 from .formatting import _fmt_count
 from .functions import (
+    BlaschkeProduct,
     SchurFunction,
     axis_phases,
     ensure_in_disk,
@@ -27,6 +28,7 @@ from .kernels import (
     ensure_weight_alpha,
     weighted_bergman_coefficients,
 )
+from .modelspace import takenaka_malmquist
 
 CLIP_LIMIT = 1e-8
 RANGE_CUTOFF = 1e-10
@@ -144,7 +146,10 @@ class DefectOperator:
     ``clip_magnitude`` records how much negative spectrum was clipped to
     zero when forming S; anything above 1e-8 raises at construction.
     ``sqrt_eigenvalues``/``eigenvectors`` hold the spectral data of S used
-    for pseudo-inversion.
+    for pseudo-inversion, ascending, with every route's (N + 1) x (N + 1)
+    shapes. On the basis route of ``defect`` (finite Blaschke products on
+    H^2) D has rank at most d = deg b and its null space carries exact
+    zeros; the dense routes leave rounding-level eigenvalues there.
     """
 
     degree: int
@@ -203,6 +208,8 @@ class DefectOperator:
 def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator:
     """Defect operator I - T_b T_b* and its PSD square root.
 
+    Three routes, tried in this order; the symbol and the weight pick one.
+
     Real route: when ``b.reflection_axis()`` gives (omega, g), then
     b(z) = c g(conj(omega) z) with |c| = 1 and g real, so for every weight
     (the norm ratios are real) T_b = c U T_g U* with U = diag(conj(omega)^n)
@@ -211,11 +218,20 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     with ||T_g||_2 <= 1, it moves T_g T_g* by at most 2||E||_F + ||E||_F^2,
     and by Weyl's inequality no eigenvalue moves further. The route is taken
     only when that bound is at most (N + 1) eps, the rounding level of the
-    complex ``eigh`` it replaces; otherwise, and for symbols without an
-    axis, D is formed from T_b in complex arithmetic.
+    complex ``eigh`` it replaces.
+
+    Basis route: a finite Blaschke product on H^2 (alpha = -1) has
+    I - T_b T_b* = P_K, the projection onto the model space K_b, so
+    D = P_N P_K P_N = E^T conj(E) with E the Takenaka-Malmquist Taylor
+    matrix (d rows, ``ModelBasis.taylor_matrix``). A complete QR E^T = Q R
+    gives D = Q (R R*) Q*: one k x k ``eigh`` of the top rows of R,
+    k = min(d, N + 1), gives the range in the first k columns of Q, and
+    the other columns span the null space, whose eigenvalues are exactly 0.
+
+    Otherwise D is formed from T_b in complex arithmetic.
     """
     _check_degree(weight, degree)
-    T = phases = None
+    T = phases = Q = None
     axis = b.reflection_axis()
     if axis is not None:
         omega, g = axis
@@ -224,15 +240,27 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         if 2.0 * drift + drift * drift <= (degree + 1) * np.finfo(float).eps:
             T = _toeplitz_fill(coeffs.real, weight, degree)
             phases = axis_phases(omega, degree)
-    if T is None:
-        T = toeplitz_analytic(b, weight, degree).matrix
-    D = np.eye(degree + 1, dtype=T.dtype) - T @ T.conj().T
+    if T is None and weight.alpha == -1.0 and isinstance(b, BlaschkeProduct):
+        E = takenaka_malmquist(b).taylor_matrix(degree)
+        Q, R = np.linalg.qr(E.T, mode="complete")
+        R = R[: min(R.shape)]
+        D = E.T @ E.conj()
+    else:
+        if T is None:
+            T = toeplitz_analytic(b, weight, degree).matrix
+        D = np.eye(degree + 1, dtype=T.dtype) - T @ T.conj().T
     D = 0.5 * (D + D.conj().T)
-    evals, vecs = np.linalg.eigh(D)
+    evals, vecs = np.linalg.eigh(D if Q is None else R @ R.conj().T)
     if phases is not None:
         D = D * np.outer(phases, phases.conj())
         D = 0.5 * (D + D.conj().T)
         vecs = phases[:, None] * vecs
+    if Q is not None:
+        # Any lambda < 0 is clipped to 0 below, so the square roots stay
+        # ascending with the null space first.
+        k = len(evals)
+        evals = np.concatenate([np.zeros(degree + 1 - k), evals])
+        vecs = np.hstack([Q[:, k:], Q[:, :k] @ vecs])
     clip = float(max(0.0, -np.min(evals)))
     if clip > CLIP_LIMIT:
         raise ValueError(
@@ -301,9 +329,12 @@ def eigenvector_check(
     _check_degree(weight, degree)
     norms = np.sqrt(weight.norms_sq[: degree + 1])
     kappa = np.conj(w) ** np.arange(degree + 1) / norms
-    T = toeplitz_analytic(b, weight, degree).matrix
+    # (T_b* kappa)_m = sum_{n >= m} conj(bhat_{n-m}) (||z^n||/||z^m||) kappa_n:
+    # the lags 0..N of one correlation, which conjugates its second argument.
+    coeffs = taylor_coefficients(b, degree)
+    adjoint = np.correlate(norms * kappa, coeffs, "full")[degree:] / norms
     bw = complex(b.eval(w))
-    residual = T.conj().T @ kappa - np.conj(bw) * kappa
+    residual = adjoint - np.conj(bw) * kappa
     return float(np.linalg.norm(residual) / np.linalg.norm(kappa))
 
 

@@ -1,9 +1,11 @@
-"""Real route of ``defect``: symbols symmetric about a line through 0.
+"""Routes of ``defect`` besides the direct complex formula.
 
+Real route, for symbols symmetric about a line through 0:
 b(z) = c g(conj(omega) z) with g real gives D(b) = U (I - T_g T_g^T) U*,
-U = diag(conj(omega)^n). The route must agree with the direct complex
-formula, kept here, and leave every other symbol on the direct formula bit
-for bit.
+U = diag(conj(omega)^n). Basis route, for the other finite Blaschke
+products on H^2: D = E^T conj(E) with E the Takenaka-Malmquist Taylor
+matrix. Each route must agree with the direct complex formula, kept here,
+and leave every other symbol on the direct formula bit for bit.
 """
 
 import cmath
@@ -21,6 +23,8 @@ from diskkernels import (
     defect,
     taylor_coefficients,
     kernel_section_taylor,
+    range_norm,
+    takenaka_malmquist,
     toeplitz_analytic,
     weighted_bergman_coefficients,
 )
@@ -269,3 +273,91 @@ def test_profile_with_imaginary_part_below_the_bound_takes_the_route(eigh_dtypes
     np.testing.assert_allclose(
         op.matrix, direct_defect_matrix(b, weight, N), rtol=0, atol=1e-14
     )
+
+
+AXIS_FREE_BLASCHKE = {
+    "two-zeros": BlaschkeProduct((0.5, -0.2 + 0.3j)),
+    "zero-at-origin": BlaschkeProduct((0.0, 0.4, 0.3j)),
+    "repeated-zero": BlaschkeProduct((0.3j, 0.3j, 0.5)),
+    "constant": BlaschkeProduct((0.6, 0.2j, -0.5 + 0.1j), cmath.exp(0.4j)),
+}
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Record the shape of every matrix ``defect`` hands to eigh."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(operators.np.linalg, "eigh", spy)
+    return seen
+
+
+def check_against_direct_formula(op, b, weight, N):
+    direct = direct_defect_matrix(b, weight, N)
+    assert op.matrix.shape == op.eigenvectors.shape == (N + 1, N + 1)
+    np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+    np.testing.assert_allclose(op.matrix, direct, rtol=0, atol=1e-13)
+    want = np.clip(np.linalg.eigvalsh(direct), 0.0, None)
+    np.testing.assert_allclose(op.sqrt_eigenvalues**2, want, rtol=0, atol=1e-12)
+    assert np.all(np.diff(op.sqrt_eigenvalues) >= 0.0)
+    vecs = op.eigenvectors
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(N + 1), rtol=0, atol=1e-13)
+    rebuilt = (vecs * op.sqrt_eigenvalues**2) @ vecs.conj().T
+    np.testing.assert_allclose(rebuilt, op.matrix, rtol=0, atol=1e-12)
+    assert op.clip_magnitude <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_FREE_BLASCHKE))
+def test_basis_route_matches_direct_formula(name, eigh_shapes):
+    b = AXIS_FREE_BLASCHKE[name]
+    assert b.reflection_axis() is None
+    N = 64
+    weight = SpaceWeight.for_degree(-1.0, N)
+    op = defect(b, weight, N)
+    assert eigh_shapes == [(b.degree, b.degree)]
+    check_against_direct_formula(op, b, weight, N)
+    # D has rank d, and its null space gets exact zeros: no rounding-level
+    # eigenvalue is left for range_norm to take for a range direction.
+    assert np.count_nonzero(op.sqrt_eigenvalues) == b.degree
+    assert np.all(op.sqrt_eigenvalues[-b.degree :] > 0.1)
+
+
+def test_basis_route_with_more_zeros_than_coefficients(eigh_shapes):
+    b = BlaschkeProduct((0.3, 0.5j, -0.6, 0.2 - 0.4j))
+    N = 2
+    weight = SpaceWeight.for_degree(-1.0, N)
+    op = defect(b, weight, N)
+    assert eigh_shapes == [(N + 1, N + 1)]
+    check_against_direct_formula(op, b, weight, N)
+
+
+@pytest.mark.parametrize("N", [128, 512])
+@pytest.mark.parametrize("name", sorted(AXIS_FREE_BLASCHKE))
+def test_basis_route_range_norms_of_kernel_sections(name, N):
+    b = AXIS_FREE_BLASCHKE[name]
+    op = defect(b, SpaceWeight.for_degree(-1.0, N), N)
+    for w in (0.2 * cmath.exp(0.3j), 0.4j, -0.6 + 0.0j, 0.6 * cmath.exp(-2.0j)):
+        got = op.range_norm(kernel_section_taylor(b, -1.0, w, N))
+        exact = math.sqrt((1.0 - abs(complex(b.eval(w))) ** 2) / (1.0 - abs(w) ** 2))
+        assert got == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_FREE_BLASCHKE))
+def test_basis_route_range_norms_of_constant_and_basis_rows(name):
+    b = AXIS_FREE_BLASCHKE[name]
+    N = 96
+    weight = SpaceWeight.for_degree(-1.0, N)
+    # 1 lies in the model space exactly when b(0) = 0.
+    one = range_norm([1.0], b, weight, N)
+    if b.zeros[0] == 0:
+        assert one == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert one == math.inf
+    op = defect(b, weight, N)
+    for row in takenaka_malmquist(b).taylor_matrix(N):
+        assert op.range_norm(row) == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,7 @@
 """Rational orthonormal bases of the model space and the kernel-sum identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from diskkernels import (
     eval_kernel,
     onb_sum_check,
     pointwise_bound_constant,
+    sample_grid,
     takenaka_malmquist,
 )
+from diskkernels.specs import parse_grid
 
 
 def test_basis_for_monomial_square_is_one_and_z():
@@ -67,6 +71,29 @@ def test_onb_sum_identity_monomial_square():
 def test_onb_sum_identity_generic_zeros():
     b = BlaschkeProduct((0.5, -0.3))
     assert onb_sum_check(b, default_grid()) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "zeros, n",
+    [((0.3, 0.5j), 1024), ((0.6, -0.2 + 0.4j, 0.0), 300), ((0.9,), 129)],
+)
+def test_onb_sum_check_is_the_whole_matrix_residual_in_bounded_memory(zeros, n):
+    b = BlaschkeProduct(zeros)
+    points = sample_grid(parse_grid("random[n=%d,rmax=0.9,seed=1]" % n))
+    tracemalloc.start()
+    try:
+        got = onb_sum_check(b, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arr = points.array
+    E = takenaka_malmquist(b).eval_all(arr)
+    summed = np.einsum("ni,nj->ij", E, E.conj())
+    whole = float(np.max(np.abs(summed - DBR(b).eval(arr[:, None], arr[None, :]))))
+    assert got.hex() == whole.hex()
+    if n >= 1024:
+        # The whole-matrix form peaked at 4.00 n^2 complex entries.
+        assert peak <= 1.0 * n * n * 16
 
 
 def test_onb_sum_matches_kernel_entrywise():
