@@ -631,17 +631,22 @@ def _first_crowded(pts: np.ndarray) -> Optional[int]:
 
 
 def _close_pairs(pts: np.ndarray) -> np.ndarray:
-    """Every pair i < j with |pts[i] - pts[j]| < MIN_SEPARATION, as a (2, pairs) array of (i, j).
+    """Every pair i < j with |pts[i] - pts[j]| < MIN_SEPARATION, as a (2, pairs) array of (i, j)."""
+    return _sorted_close_pairs(pts)[1]
 
-    The one place that compares pairs of points. Sorted by real part, a pair
-    closer than MIN_SEPARATION is d places apart for some lag d, and its real
-    parts differ by less than MIN_SEPARATION: |fl(re a - re b)| is at most
-    fl|a - b|, the real part of the same difference. On sorted reals the
-    lag-(d + 1) gaps are no smaller than the lag-d ones, so the sweep over
-    d = 1, 2, ... stops at the first lag with no gap that small, and only
-    the pairs with such a gap have their distance computed. That distance
-    is |a - b| with the bits of any other order of the pair. Points spread
-    in real part take a few lags; n points on one vertical line take n.
+
+def _sorted_close_pairs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of ``pts`` by real part, and ``_close_pairs(pts)``.
+
+    Sorted by real part, a pair closer than MIN_SEPARATION is d places
+    apart for some lag d, and its real parts differ by less than
+    MIN_SEPARATION: |fl(re a - re b)| is at most fl|a - b|, the real part
+    of the same difference. On sorted reals the lag-(d + 1) gaps are no
+    smaller than the lag-d ones, so the sweep over d = 1, 2, ... stops at
+    the first lag with no gap that small, and only the pairs with such a
+    gap have their distance computed. That distance is |a - b| with the
+    bits of any other order of the pair. Points spread in real part take a
+    few lags; n points on one vertical line take n.
     """
     eps = MIN_SEPARATION  # read per call, so a patched value is honoured
     order = np.argsort(pts.real, kind="stable")
@@ -655,7 +660,28 @@ def _close_pairs(pts: np.ndarray) -> np.ndarray:
         close = near[np.abs(s[near + d] - s[near]) < eps]
         if len(close):
             pairs.append(np.sort([order[close], order[close + d]], axis=0))
-    return np.concatenate(pairs, axis=1)
+    return order, np.concatenate(pairs, axis=1)
+
+
+def _close_to_sorted(ordered: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Whether each point of ``new`` lies closer than MIN_SEPARATION to one of ``ordered``.
+
+    ``ordered`` is sorted by real part, so the points whose real parts lie
+    within 2 MIN_SEPARATION of a new point's are one slice of it, found by
+    bisection. A close pair's real parts differ by less than MIN_SEPARATION
+    (see ``_sorted_close_pairs``), and the slice's ends, rounded by at most
+    2^-53 on reals below 1, reach further. Only the pairs in a slice have
+    their distance computed, with the bits ``_close_pairs`` gives them.
+    """
+    eps = MIN_SEPARATION
+    x = ordered.real
+    lo = np.searchsorted(x, new.real - 2.0 * eps)
+    counts = np.searchsorted(x, new.real + 2.0 * eps, side="right") - lo
+    which = np.repeat(np.arange(len(new)), counts)
+    at = np.arange(len(which)) + np.repeat(lo + counts - np.cumsum(counts), counts)
+    close = np.zeros(len(new), dtype=bool)
+    close[which[np.abs(new[which] - ordered[at]) < eps]] = True
+    return close
 
 
 def _random_points(spec: RandomGrid) -> np.ndarray:
@@ -664,31 +690,41 @@ def _random_points(spec: RandomGrid) -> np.ndarray:
     Each candidate is the next two uniforms u, v of the stream, at radius
     rmax sqrt(u) and angle 2 pi v, and is kept when it lies at least
     MIN_SEPARATION from every point kept before it. Candidates are drawn
-    as many at a time as points are missing, and the close pairs among
-    them and the kept points are found once per draw. Then, in stream
-    order, a candidate is refused when it is close to a kept point or to
-    an earlier candidate not refused. Sampling gives up at the
+    as many at a time as points are missing. A candidate close to a kept
+    point is refused (``_close_to_sorted``, against the kept points held
+    sorted by real part between draws); then the close pairs among the
+    candidates are found (``_sorted_close_pairs``) and resolved in stream
+    order: a candidate is refused when it is close to an earlier candidate
+    not refused. The survivors are merged into the sorted kept points in
+    the order that sort gave them, so a grid with no refusal costs one
+    sort, and a draw of m candidates near the jamming limit O(m log n)
+    plus one copy of the kept points. Sampling gives up at the
     (64 count)-th refused draw: ``RandomGrid`` refuses grids with more than
     half the points that fit, and some grids below that still stall.
     """
     rng = np.random.default_rng(spec.seed)
     pts = np.empty(spec.count, dtype=complex)
-    k = refused = 0  # pts[:k] are kept
+    k = refused = 0  # pts[:k] are kept; once k > 0, ``ordered`` holds them by real part
     while k < spec.count:
         u = rng.random((spec.count - k, 2))
         radius = spec.rmax * np.sqrt(u[:, 0])
         angle = 2.0 * np.pi * u[:, 1]
-        pts.real[k:] = radius * np.cos(angle)
-        pts.imag[k:] = radius * np.sin(angle)
-        earlier, later = _close_pairs(pts)
-        out = np.zeros(spec.count, dtype=bool)
+        new = pts[k:]
+        new.real = radius * np.cos(angle)
+        new.imag = radius * np.sin(angle)
+        out = _close_to_sorted(ordered, new) if k else np.zeros(len(new), dtype=bool)
+        order, (earlier, later) = _sorted_close_pairs(new)
         for i in np.argsort(later, kind="stable"):
             if not (out[earlier[i]] or out[later[i]]):
                 out[later[i]] = True
-                refused += 1
-                if refused == 64 * spec.count:
-                    raise ValueError(_crowded_message(spec, "%d draws were refused" % refused))
-        kept = pts[k:][~out[k:]]
+        refused += int(np.count_nonzero(out))
+        if refused >= 64 * spec.count:
+            raise ValueError(_crowded_message(spec, "%d draws were refused" % (64 * spec.count)))
+        merged = new[order[~out[order]]]
+        if k:
+            merged = np.insert(ordered, np.searchsorted(ordered.real, merged.real), merged)
+        ordered = merged
+        kept = new[~out]
         pts[k : k + len(kept)] = kept
         k += len(kept)
     return pts

@@ -195,9 +195,11 @@ def is_psd(G, tol: float = DEFAULT_TOL) -> PsdVerdict:
     angular frequency at a time (see ``_angle_blocks``) and the rule is
     read from its spectrum. Any other matrix is first tried by the
     certificates of ``_certificate``: a diagonal entry below
-    -(2 tol max(1, ||G||_F) + c) refutes, and a Cholesky of G + (s - c) I
-    that completes passes, with s <= t/2 and c its rounding bound. Only
-    when neither decides is the rule read from the spectrum; a certified
+    -(2 tol max(1, ||G||_F) + c) refutes; from n = 256 on, a pivoted
+    low-rank factor L with ||G - L L*||_F, rounding included, at most
+    s' <= t/2 passes; and a Cholesky of G + (s - c) I that completes
+    passes, with s <= t/2 and c its rounding bound. Only when none
+    decides is the rule read from the spectrum; a certified
     verdict computes its spectrum when ``min_eigenvalue`` or
     ``spectral_norm`` is first read, by the same ``eigvalsh`` call on the
     same matrix.
@@ -269,8 +271,16 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
       rho_lo = max(peak, max |M_ii|, tr M / n) <= rho, since |M_ij| and
       the mean eigenvalue are at most rho; ``peak`` is max |M_ij|.
       It is tried only when s > c, so never at tol = 0.
+    - PSD, before that Cholesky is tried and when n // 4 >= FACTOR_BLOCK,
+      when a pivoted partial Cholesky of at most n/4 rows leaves a
+      residual whose Frobenius norm, with its rounding bound, is at most
+      s' (``_low_rank_certificate``): then lambda_min >= -s', with
+      s <= s' <= t/2. Its O(n^2 k) cost for k rows beats the O(n^3)
+      Cholesky on the low numerical rank of an analytic kernel's Gram;
+      when it gives up or its bound is too large, the Cholesky runs as
+      before.
 
-    Either certificate leaves a margin of t/2 or more, so the rule read
+    Each certificate leaves a margin of t/2 or more, so the rule read
     from ``eigvalsh`` decides the same way unless that solver errs by more
     than t/2. At tol = 0 only a refutation, by a diagonal below -c, decides.
     """
@@ -280,11 +290,126 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
     if refuted:
         return False
     if shift > slack:
+        if len(M) // 4 >= FACTOR_BLOCK and _low_rank_certificate(M, tol, shift):
+            return True
         try:
             _cholesky_panels(M, shift - slack)
         except np.linalg.LinAlgError:
             return None
         return True
+    return None
+
+
+def _low_rank_certificate(M: np.ndarray, tol: float, shift: float) -> bool:
+    """Whether a low-rank factor of Hermitian M proves lambda_min(M) >= -s', s' >= shift.
+
+    A diagonal-pivoted partial Cholesky (``_pivoted_rows``; Harbrecht,
+    Peters and Schneider, "On the low-rank approximation by the pivoted
+    Cholesky decomposition", Appl. Numer. Math. 62, 2012) gives k rows L,
+    and P = L^T conj(L) is PSD whatever L's bits, so by Weyl's inequality
+    lambda_min(M) >= -||M - P||_2 >= -x, x = ||M - P||_F. The residual R
+    = fl(M - fl(L^T conj(L))) is formed FACTOR_BLOCK rows at a time, in the
+    lower triangle only: per strip, a block left of the diagonal block
+    (counted twice) and the diagonal block. Each real or imaginary part of
+    an entry of R is a real sum of 2k products and one part of M_ij, so in
+    any order of evaluation, fused or not, |R - (M - P)| <= sqrt(2) h (|M|
+    + |L^T| |L^T|*) entrywise, h = gamma_{2k+1} (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1 and §3.6); an underflowing
+    product adds at most eta = 2^-1074, which the sums carry to at most
+    3 k eta an entry. With ||M||_F <= x + ||L||_F^2 this gives x (1 -
+    sqrt(2) h) <= ||R||_F + 2 sqrt(2) h ||L||_F^2 + 3 n k eta. ||R||_F^2
+    and ||L||_F^2 are sums of at most 2 n^2 rounded real squares, each
+    within eta of its model: with g = gamma_{2n^2} and a = 2 n^2 eta, the
+    exact sums are at most (computed + a) / (1 - g). As 2k + 1 <= n/2 + 1
+    leaves h below g / 1000 for n >= 256, (1 + 2g) covers both divisions
+    and this evaluation's roundings, and 3 > 2 sqrt(2) (1 + 2h) / (1 - g):
+    so x <= (1 + 2g) (sqrt(q + a) + 3 h (l + a)) + 4 n k eta, with q and l
+    the computed squares of ||R||_F and ||L||_F.
+
+    P >= l l* for the first row l, so the spectral norm rho >= lambda_max(M)
+    >= lambda_max(P) - x >= ||l||^2 - x, and s' = max(shift, tol (||l||^2
+    - x) / 2) is at most t/2 when shift is, t = tol max(1, rho); ||l||^2 is
+    taken as (1 - 2g) times its computed square less a. True when x <= s'
+    and s' is finite; a residual or bound that overflows decides nothing.
+    """
+    n = len(M)
+    with np.errstate(all="ignore"):
+        L = _pivoted_rows(M, tol, shift, n // 4)
+        if L is None:
+            return False
+        k = len(L)
+        eta = math.ulp(0.0)
+        g = 2 * n * n * UNIT_ROUNDOFF / (1.0 - 2 * n * n * UNIT_ROUNDOFF)
+        a = 2 * n * n * eta
+        first = (1.0 - 2.0 * g) * float(np.vdot(L[0], L[0]).real) - a if k else 0.0
+        # The bound is at least ||R||_F and s' at most this ceiling: past it, nothing fits.
+        ceiling = max(shift, 0.5 * tol * first)
+        np.conjugate(L, out=L)
+        strips = np.empty(FACTOR_BLOCK * n, dtype=complex)
+        squares = 0.0
+        for s in range(0, n, FACTOR_BLOCK):
+            e = min(s + FACTOR_BLOCK, n)
+            m = e - s
+            left = L[:, s:e].conj().T
+            off = np.matmul(left, L[:, :s], out=strips[: m * s].reshape(m, s))
+            diag = np.matmul(left, L[:, s:e], out=strips[m * s : m * e].reshape(m, m))
+            np.subtract(M[s:e, :s], off, out=off)
+            np.subtract(M[s:e, s:e], diag, out=diag)
+            squares += 2.0 * np.vdot(off, off).real + np.vdot(diag, diag).real
+            if not squares <= ceiling * ceiling:
+                return False
+        size = float(np.vdot(L, L).real)
+        h = (2 * k + 1) * UNIT_ROUNDOFF / (1.0 - (2 * k + 1) * UNIT_ROUNDOFF)
+        bound = (1.0 + 2.0 * g) * (math.sqrt(squares + a) + 3.0 * h * (size + a)) + 4 * n * k * eta
+        shift = max(shift, 0.5 * tol * (first - bound))
+    return bound <= shift < math.inf
+
+
+def _pivoted_rows(M: np.ndarray, tol: float, shift: float, most: int) -> Optional[np.ndarray]:
+    """Rows L of a diagonal-pivoted partial Cholesky of Hermitian M, or None.
+
+    Row j is column p of the residual M - L[:j]^T conj(L[:j]) over the
+    square root of its diagonal entry, p where the residual diagonal d is
+    largest, and d loses the row's squared moduli. The rows stop once d
+    sums to at most s/2, s = max(shift, tol ||L[0]||^2 / 2) the shift
+    ``_low_rank_certificate`` hopes to prove; a PSD residual's Frobenius
+    norm is at most its trace. None when the factor gives up: at ``most``
+    rows, at a pivot that is not positive, or when at j = 16, 24, 32, ...
+    rows the decay of that sum over the last 8 rows, kept up, would need
+    more than most (1 + 16/j) rows. On the analytic kernels of a grid the
+    decay quickens as rows are added, so the allowance is widest early.
+    """
+    n = len(M)
+    L = np.empty((most, n), dtype=complex)
+    d = M.diagonal().real.copy()
+    goal = 0.5 * shift
+    sums = []
+    for j in range(most + 1):
+        total = float(np.sum(d))
+        if total <= goal:
+            return L[:j]
+        if j == most:
+            return None
+        if j >= 16 and j % 8 == 0:
+            rate = total / sums[j - 8]
+            needed = j + 8.0 * math.log(goal / total) / math.log(rate) if rate < 1.0 else math.inf
+            if not needed <= most * (1.0 + 16.0 / j):
+                return None
+        sums.append(total)
+        p = int(np.argmax(d))
+        row = np.conjugate(M[p], out=L[j])
+        row -= np.conjugate(L[:j, p]) @ L[:j]
+        pivot = row[p].real
+        if not pivot > 0.0:
+            return None
+        row *= 1.0 / math.sqrt(pivot)
+        parts = row.view(float)
+        squares = parts * parts
+        if not j:
+            goal = max(goal, 0.25 * tol * float(np.sum(squares)))
+        d -= squares[0::2]
+        d -= squares[1::2]
+        d[p] = 0.0
     return None
 
 

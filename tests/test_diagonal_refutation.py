@@ -389,6 +389,29 @@ def test_patched_separations_match_the_per_refusal_loop(separation, monkeypatch)
     assert _sampled(kx._random_points, spec) == _sampled(_parent_random_points, spec)
 
 
+@pytest.mark.parametrize("separation", [0.005, 0.02])
+def test_close_to_sorted_finds_what_a_full_comparison_finds(separation, monkeypatch):
+    monkeypatch.setattr(kx, "MIN_SEPARATION", separation)
+    rng = np.random.default_rng(8)
+    kept = 0.3 * (rng.random(300) + 1j * rng.random(300))
+    ordered = kept[np.argsort(kept.real)]
+    new = np.concatenate((0.3 * (rng.random(200) + 1j * rng.random(200)), kept[:5] + 0.5 * separation))
+    want = np.min(np.abs(new[:, None] - kept[None, :]), axis=1) < separation
+    assert 0 < np.count_nonzero(want) < len(new)
+    assert np.array_equal(kx._close_to_sorted(ordered, new), want)
+
+
+def test_an_uncrowded_grid_is_sorted_once(monkeypatch):
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(
+        np, "argsort", lambda a, *args, **kwargs: sorts.append(len(a)) or argsort(a, *args, **kwargs)
+    )
+    kx._random_points(RandomGrid(1600, 0.9, 1))
+    # The candidates by real part; the empty list of close pairs costs nothing.
+    assert sorts == [1600, 0]
+
+
 def test_close_pairs_lists_every_close_pair_once():
     pts = np.array([0.0, 5e-11, 0.3, 0.3 + 9e-11j, 0.5, 0.0 + 2e-11j])
     pairs = {tuple(p) for p in kx._close_pairs(pts).T.tolist()}
