@@ -24,11 +24,13 @@ from .functions import (
     taylor_coefficients,
 )
 from .kernels import (
+    UNIT_ROUNDOFF,
     check_dense_size,
     ensure_weight_alpha,
     weighted_bergman_coefficients,
 )
 from .modelspace import takenaka_malmquist
+from .psd import FACTOR_BLOCK, _pivoted_rows, _residual_bound
 
 CLIP_LIMIT = 1e-8
 RANGE_CUTOFF = 1e-10
@@ -147,8 +149,9 @@ class DefectOperator:
     zero when forming S; anything above 1e-8 raises at construction.
     ``sqrt_eigenvalues``/``eigenvectors`` hold the spectral data of S used
     for pseudo-inversion, ascending, with every route's (N + 1) x (N + 1)
-    shapes. On the basis route of ``defect`` (finite Blaschke products on
-    H^2) D has rank at most d = deg b and its null space carries exact
+    shapes. On the basis and low-rank routes of ``defect`` (on H^2: finite
+    Blaschke products, and from N + 1 = 256 on other inner symbols such as
+    singular inner ones) the null space of the rank-k factor carries exact
     zeros; the dense routes leave rounding-level eigenvalues there.
     """
 
@@ -197,7 +200,7 @@ class DefectOperator:
         f_onb = np.zeros(self.degree + 1, dtype=complex)
         norms = np.sqrt(self.weight.norms_sq[: self.degree + 1])
         f_onb[: len(f_taylor)] = f_taylor * norms[: len(f_taylor)]
-        coords = self.eigenvectors.conj().T @ f_onb
+        coords = np.conj(f_onb.conj() @ self.eigenvectors)
         in_range = self.sqrt_eigenvalues >= RANGE_CUTOFF
         outside = float(np.linalg.norm(coords[~in_range]))
         if outside > RANGE_RESIDUAL:
@@ -208,7 +211,7 @@ class DefectOperator:
 def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator:
     """Defect operator I - T_b T_b* and its PSD square root.
 
-    Three routes, tried in this order; the symbol and the weight pick one.
+    The symbol and the weight pick the routes below, tried in this order.
 
     Real route: when ``b.reflection_axis()`` gives (omega, g), then
     b(z) = c g(conj(omega) z) with |c| = 1 and g real, so for every weight
@@ -229,9 +232,17 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     the other columns span the null space, whose eigenvalues are exactly 0.
 
     Otherwise D is formed from T_b in complex arithmetic.
+
+    Low-rank route: on H^2, the D that the real route or the complex
+    formula formed is close to a projection of low rank when b is inner.
+    From N + 1 = 4 ``psd.FACTOR_BLOCK`` on, ``_low_rank_rows`` may give
+    rows E with E^T conj(E) within D's own rounding error of D; the basis
+    route's QR and k x k ``eigh`` follow, and the real route's phases. D's
+    negative spectrum goes with the residual, so ``clip_magnitude``
+    records only what that ``eigh`` gives below 0.
     """
     _check_degree(weight, degree)
-    T = phases = Q = None
+    T = phases = E = None
     axis = b.reflection_axis()
     if axis is not None:
         omega, g = axis
@@ -242,25 +253,32 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
             phases = axis_phases(omega, degree)
     if T is None and weight.alpha == -1.0 and isinstance(b, BlaschkeProduct):
         E = takenaka_malmquist(b).taylor_matrix(degree)
-        Q, R = np.linalg.qr(E.T, mode="complete")
-        R = R[: min(R.shape)]
         D = E.T @ E.conj()
     else:
         if T is None:
             T = toeplitz_analytic(b, weight, degree).matrix
         D = np.eye(degree + 1, dtype=T.dtype) - T @ T.conj().T
     D = 0.5 * (D + D.conj().T)
-    evals, vecs = np.linalg.eigh(D if Q is None else R @ R.conj().T)
-    if phases is not None:
-        D = D * np.outer(phases, phases.conj())
-        D = 0.5 * (D + D.conj().T)
-        vecs = phases[:, None] * vecs
-    if Q is not None:
+    if E is None and weight.alpha == -1.0:
+        E = _low_rank_rows(D, T)
+    if E is not None:
+        Q, R = np.linalg.qr(E.T, mode="complete")
+        R = R[: min(R.shape)]
+    evals, vecs = np.linalg.eigh(D if E is None else R @ R.conj().T)
+    if E is not None:
         # Any lambda < 0 is clipped to 0 below, so the square roots stay
-        # ascending with the null space first.
+        # ascending with the null space first. The eigenvectors overwrite
+        # Q, so no second (N + 1)^2 array outlives this block.
         k = len(evals)
         evals = np.concatenate([np.zeros(degree + 1 - k), evals])
-        vecs = np.hstack([Q[:, k:], Q[:, :k] @ vecs])
+        Q[:, : degree + 1 - k], Q[:, degree + 1 - k :] = Q[:, k:], Q[:, :k] @ vecs
+        vecs = Q
+    if phases is not None:
+        D = D * np.outer(phases, phases.conj())
+        # In place, with the bits of 0.5 * (D + D*) and one temporary fewer.
+        D += D.conj().T
+        D *= 0.5
+        vecs = phases[:, None] * vecs
     clip = float(max(0.0, -np.min(evals)))
     if clip > CLIP_LIMIT:
         raise ValueError(
@@ -276,6 +294,36 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         sqrt_eigenvalues=np.sqrt(np.clip(evals, 0.0, None)),
         eigenvectors=vecs,
     )
+
+
+def _low_rank_rows(D: np.ndarray, T: np.ndarray) -> np.ndarray | None:
+    """k <= n/4 rows L with L^T conj(L) within tau of D = fl(I - T T*), or None.
+
+    n = N + 1, u = 2^-53. The rows of ``psd._pivoted_rows`` stop once the
+    residual diagonal sums to n u, the rounding level of D's entries, with
+    no decay extrapolation: across D's plateau of eigenvalues near 1 the
+    sum falls by about 1 a row, and that rule would give up on factors
+    that finish. Trace rule: each row takes at most ||D||_2 <= 1 from a
+    PSD D's trace, so tr D > n // 4 + n u, or < 0, skips in O(n).
+
+    Acceptance: tau = gamma_n ||T||_F^2 bounds the rounding error of fl(T
+    T*) in norm (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.5; a complex T has a larger bound), so D may already be that far
+    from the exact I - T T*. The rows are taken when x >= ||D - L^T
+    conj(L)||_F of ``psd._residual_bound`` is at most tau: by Weyl's
+    inequality each eigenvalue of L^T conj(L) >= 0 is then within x of one
+    of D, and D has none below -x. As tr D >= 0, ||T||_F^2 = n - tr D is
+    about n at most, so tau is about n^2 u at most: below 2e-9, under
+    CLIP_LIMIT, for every n that ``check_dense_size`` admits.
+    """
+    n = len(D)
+    most, goal = n // 4, n * UNIT_ROUNDOFF
+    if most < FACTOR_BLOCK or not 0.0 <= float(np.trace(D).real) <= most + goal:
+        return None
+    tau = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF) * float(np.vdot(T, T).real)
+    # The rows stop at half the shift they are given.
+    L = _pivoted_rows(D, 0.0, 2.0 * goal, most, extrapolate=False)
+    return L if L is not None and _residual_bound(D, L.conj(), tau) <= tau else None
 
 
 def range_norm(f_taylor, b: SchurFunction, weight: SpaceWeight, degree: int) -> float:

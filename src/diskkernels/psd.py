@@ -303,84 +303,101 @@ def _certificate(M: np.ndarray, tol: float, peak: float) -> Optional[bool]:
 def _low_rank_certificate(M: np.ndarray, tol: float, shift: float) -> bool:
     """Whether a low-rank factor of Hermitian M proves lambda_min(M) >= -s', s' >= shift.
 
-    A diagonal-pivoted partial Cholesky (``_pivoted_rows``; Harbrecht,
-    Peters and Schneider, "On the low-rank approximation by the pivoted
-    Cholesky decomposition", Appl. Numer. Math. 62, 2012) gives k rows L,
+    A diagonal-pivoted partial Cholesky (``_pivoted_rows``) gives k rows L,
     and P = L^T conj(L) is PSD whatever L's bits, so by Weyl's inequality
-    lambda_min(M) >= -||M - P||_2 >= -x, x = ||M - P||_F. The residual R
-    = fl(M - fl(L^T conj(L))) is formed FACTOR_BLOCK rows at a time, in the
-    lower triangle only: per strip, a block left of the diagonal block
-    (counted twice) and the diagonal block. Each real or imaginary part of
-    an entry of R is a real sum of 2k products and one part of M_ij, so in
-    any order of evaluation, fused or not, |R - (M - P)| <= sqrt(2) h (|M|
-    + |L^T| |L^T|*) entrywise, h = gamma_{2k+1} (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, §3.1 and §3.6); an underflowing
-    product adds at most eta = 2^-1074, which the sums carry to at most
-    3 k eta an entry. With ||M||_F <= x + ||L||_F^2 this gives x (1 -
-    sqrt(2) h) <= ||R||_F + 2 sqrt(2) h ||L||_F^2 + 3 n k eta. ||R||_F^2
-    and ||L||_F^2 are sums of at most 2 n^2 rounded real squares, each
-    within eta of its model: with g = gamma_{2n^2} and a = 2 n^2 eta, the
-    exact sums are at most (computed + a) / (1 - g). As 2k + 1 <= n/2 + 1
-    leaves h below g / 1000 for n >= 256, (1 + 2g) covers both divisions
-    and this evaluation's roundings, and 3 > 2 sqrt(2) (1 + 2h) / (1 - g):
-    so x <= (1 + 2g) (sqrt(q + a) + 3 h (l + a)) + 4 n k eta, with q and l
-    the computed squares of ||R||_F and ||L||_F.
+    lambda_min(M) >= -||M - P||_2 >= -x, x the bound on ||M - P||_F of
+    ``_residual_bound``.
 
     P >= l l* for the first row l, so the spectral norm rho >= lambda_max(M)
     >= lambda_max(P) - x >= ||l||^2 - x, and s' = max(shift, tol (||l||^2
     - x) / 2) is at most t/2 when shift is, t = tol max(1, rho); ||l||^2 is
-    taken as (1 - 2g) times its computed square less a. True when x <= s'
-    and s' is finite; a residual or bound that overflows decides nothing.
+    taken as (1 - 2g) times its computed square less a, g and a as in
+    ``_residual_bound``. True when x <= s' and s' is finite; a residual or
+    bound that overflows decides nothing.
     """
     n = len(M)
     with np.errstate(all="ignore"):
         L = _pivoted_rows(M, tol, shift, n // 4)
         if L is None:
             return False
-        k = len(L)
-        eta = math.ulp(0.0)
         g = 2 * n * n * UNIT_ROUNDOFF / (1.0 - 2 * n * n * UNIT_ROUNDOFF)
-        a = 2 * n * n * eta
-        first = (1.0 - 2.0 * g) * float(np.vdot(L[0], L[0]).real) - a if k else 0.0
+        a = 2 * n * n * math.ulp(0.0)
+        first = (1.0 - 2.0 * g) * float(np.vdot(L[0], L[0]).real) - a if len(L) else 0.0
         # The bound is at least ||R||_F and s' at most this ceiling: past it, nothing fits.
         ceiling = max(shift, 0.5 * tol * first)
-        np.conjugate(L, out=L)
-        strips = np.empty(FACTOR_BLOCK * n, dtype=complex)
-        squares = 0.0
-        for s in range(0, n, FACTOR_BLOCK):
-            e = min(s + FACTOR_BLOCK, n)
-            m = e - s
-            left = L[:, s:e].conj().T
-            off = np.matmul(left, L[:, :s], out=strips[: m * s].reshape(m, s))
-            diag = np.matmul(left, L[:, s:e], out=strips[m * s : m * e].reshape(m, m))
-            np.subtract(M[s:e, :s], off, out=off)
-            np.subtract(M[s:e, s:e], diag, out=diag)
-            squares += 2.0 * np.vdot(off, off).real + np.vdot(diag, diag).real
-            if not squares <= ceiling * ceiling:
-                return False
-        size = float(np.vdot(L, L).real)
-        h = (2 * k + 1) * UNIT_ROUNDOFF / (1.0 - (2 * k + 1) * UNIT_ROUNDOFF)
-        bound = (1.0 + 2.0 * g) * (math.sqrt(squares + a) + 3.0 * h * (size + a)) + 4 * n * k * eta
+        bound = _residual_bound(M, np.conjugate(L, out=L), ceiling)
         shift = max(shift, 0.5 * tol * (first - bound))
     return bound <= shift < math.inf
 
 
-def _pivoted_rows(M: np.ndarray, tol: float, shift: float, most: int) -> Optional[np.ndarray]:
+def _residual_bound(M: np.ndarray, conj_rows: np.ndarray, ceiling: float) -> float:
+    """x >= ||M - L^T conj(L)||_F for Hermitian M of order n >= 256, or inf.
+
+    ``conj_rows`` is conj(L) for k <= n/4 rows L; M and L may be real. inf
+    once the sum below passes ``ceiling``: the caller needs no larger x.
+    The residual R = fl(M - fl(L^T conj(L))) is formed FACTOR_BLOCK rows at
+    a time, in the lower triangle only: per strip, a block left of the
+    diagonal block (counted twice) and the diagonal block. Each real or
+    imaginary part of an entry of R is a real sum of 2k products and one
+    part of M_ij, so in any order of evaluation, fused or not, |R - (M -
+    P)| <= sqrt(2) h (|M| + |L^T| |L^T|*) entrywise, h = gamma_{2k+1}
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1 and
+    §3.6); an underflowing product adds at most eta = 2^-1074, which the
+    sums carry to at most 3 k eta an entry. Real M and L only shrink each
+    term. With ||M||_F <= x + ||L||_F^2 this gives x (1 - sqrt(2) h) <=
+    ||R||_F + 2 sqrt(2) h ||L||_F^2 + 3 n k eta. ||R||_F^2 and ||L||_F^2
+    are sums of at most 2 n^2 rounded real squares, each within eta of its
+    model: with g = gamma_{2n^2} and a = 2 n^2 eta, the exact sums are at
+    most (computed + a) / (1 - g). As 2k + 1 <= n/2 + 1 leaves h below
+    g / 1000 for n >= 256, (1 + 2g) covers both divisions and this
+    evaluation's roundings, and 3 > 2 sqrt(2) (1 + 2h) / (1 - g): so x <=
+    (1 + 2g) (sqrt(q + a) + 3 h (l + a)) + 4 n k eta, with q and l the
+    computed squares of ||R||_F and ||L||_F.
+    """
+    n, k = len(M), len(conj_rows)
+    strips = np.empty(FACTOR_BLOCK * n, dtype=np.result_type(M, conj_rows))
+    squares = 0.0
+    for s in range(0, n, FACTOR_BLOCK):
+        e = min(s + FACTOR_BLOCK, n)
+        m = e - s
+        left = conj_rows[:, s:e].conj().T
+        off = np.matmul(left, conj_rows[:, :s], out=strips[: m * s].reshape(m, s))
+        diag = np.matmul(left, conj_rows[:, s:e], out=strips[m * s : m * e].reshape(m, m))
+        np.subtract(M[s:e, :s], off, out=off)
+        np.subtract(M[s:e, s:e], diag, out=diag)
+        squares += 2.0 * np.vdot(off, off).real + np.vdot(diag, diag).real
+        if not squares <= ceiling * ceiling:
+            return math.inf
+    g = 2 * n * n * UNIT_ROUNDOFF / (1.0 - 2 * n * n * UNIT_ROUNDOFF)
+    a = 2 * n * n * math.ulp(0.0)
+    size = float(np.vdot(conj_rows, conj_rows).real)
+    h = (2 * k + 1) * UNIT_ROUNDOFF / (1.0 - (2 * k + 1) * UNIT_ROUNDOFF)
+    return (1.0 + 2.0 * g) * (math.sqrt(squares + a) + 3.0 * h * (size + a)) + 4 * n * k * math.ulp(0.0)
+
+
+def _pivoted_rows(
+    M: np.ndarray, tol: float, shift: float, most: int, extrapolate: bool = True
+) -> Optional[np.ndarray]:
     """Rows L of a diagonal-pivoted partial Cholesky of Hermitian M, or None.
 
-    Row j is column p of the residual M - L[:j]^T conj(L[:j]) over the
-    square root of its diagonal entry, p where the residual diagonal d is
-    largest, and d loses the row's squared moduli. The rows stop once d
-    sums to at most s/2, s = max(shift, tol ||L[0]||^2 / 2) the shift
+    Harbrecht, Peters and Schneider, "On the low-rank approximation by the
+    pivoted Cholesky decomposition", Appl. Numer. Math. 62, 2012. Row j is
+    column p of the residual M - L[:j]^T conj(L[:j]) over the square root
+    of its diagonal entry, p where the residual diagonal d is largest, and
+    d loses the row's squared moduli. L has M's dtype. The rows stop once
+    d sums to at most s/2, s = max(shift, tol ||L[0]||^2 / 2) the shift
     ``_low_rank_certificate`` hopes to prove; a PSD residual's Frobenius
     norm is at most its trace. None when the factor gives up: at ``most``
-    rows, at a pivot that is not positive, or when at j = 16, 24, 32, ...
-    rows the decay of that sum over the last 8 rows, kept up, would need
-    more than most (1 + 16/j) rows. On the analytic kernels of a grid the
-    decay quickens as rows are added, so the allowance is widest early.
+    rows, at a pivot that is not positive, or, with ``extrapolate``, when
+    at j = 16, 24, 32, ... rows the decay of that sum over the last 8
+    rows, kept up, would need more than most (1 + 16/j) rows. On the
+    analytic kernels of a grid the decay quickens as rows are added, so
+    the allowance is widest early; ``operators._low_rank_rows`` turns
+    this off.
     """
     n = len(M)
-    L = np.empty((most, n), dtype=complex)
+    L = np.empty((most, n), dtype=M.dtype)
+    width = 2 if np.iscomplexobj(M) else 1
     d = M.diagonal().real.copy()
     goal = 0.5 * shift
     sums = []
@@ -390,7 +407,7 @@ def _pivoted_rows(M: np.ndarray, tol: float, shift: float, most: int) -> Optiona
             return L[:j]
         if j == most:
             return None
-        if j >= 16 and j % 8 == 0:
+        if extrapolate and j >= 16 and j % 8 == 0:
             rate = total / sums[j - 8]
             needed = j + 8.0 * math.log(goal / total) / math.log(rate) if rate < 1.0 else math.inf
             if not needed <= most * (1.0 + 16.0 / j):
@@ -407,8 +424,8 @@ def _pivoted_rows(M: np.ndarray, tol: float, shift: float, most: int) -> Optiona
         squares = parts * parts
         if not j:
             goal = max(goal, 0.25 * tol * float(np.sum(squares)))
-        d -= squares[0::2]
-        d -= squares[1::2]
+        for part in range(width):
+            d -= squares[part::width]
         d[p] = 0.0
     return None
 

@@ -361,3 +361,116 @@ def test_basis_route_range_norms_of_constant_and_basis_rows(name):
     op = defect(b, weight, N)
     for row in takenaka_malmquist(b).taylor_matrix(N):
         assert op.range_norm(row) == pytest.approx(1.0, abs=1e-12)
+
+
+# Low-rank route: the Hardy defect of any symbol the basis route does not
+# take, from a pivoted partial Cholesky of the D the other routes formed,
+# at N + 1 >= 4 FACTOR_BLOCK and when tr D leaves the factor room.
+LOW_RANK_SIZES = (255, 511, 1023)
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """The orders at which ``defect`` started the pivoted factor and the residual bound."""
+    calls = {"rows": [], "bound": []}
+
+    def spy(name, real):
+        def called(M, *args, **kwargs):
+            calls[name].append(len(M))
+            return real(M, *args, **kwargs)
+
+        return called
+
+    monkeypatch.setattr(operators, "_pivoted_rows", spy("rows", operators._pivoted_rows))
+    monkeypatch.setattr(operators, "_residual_bound", spy("bound", operators._residual_bound))
+    return calls
+
+
+@pytest.mark.parametrize("N", LOW_RANK_SIZES)
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_low_rank_route_for_a_singular_inner_symbol(sigma, N, eigh_dtypes, eigh_shapes):
+    b = AtomicSingularInner(sigma, cmath.exp(2.3j))
+    weight = SpaceWeight.for_degree(-1.0, N)
+    op = defect(b, weight, N)
+    assert eigh_dtypes == [np.float64]
+    (k, k2), = eigh_shapes
+    assert k == k2 and 0 < k <= (N + 1) // 4
+    check_against_direct_formula(op, b, weight, N)
+    # The null space of the factor gets exact zeros.
+    assert np.count_nonzero(op.sqrt_eigenvalues) == k
+    for w in (0.2 * cmath.exp(0.3j), 0.4j, -0.6 + 0.0j, 0.6 * cmath.exp(-2.0j)):
+        got = op.range_norm(kernel_section_taylor(b, -1.0, w, N))
+        exact = math.sqrt((1.0 - abs(complex(b.eval(w))) ** 2) / (1.0 - abs(w) ** 2))
+        assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_low_rank_route_on_the_complex_formula(eigh_dtypes, eigh_shapes):
+    # The same T as a singular inner symbol, through a polynomial with no axis.
+    N = 255
+    atom = AtomicSingularInner(1.0, cmath.exp(2.3j))
+    b = TaylorPolynomial(atom.taylor(N), unit_ball_check=False)
+    assert b.reflection_axis() is None
+    weight = SpaceWeight.for_degree(-1.0, N)
+    op = defect(b, weight, N)
+    assert eigh_dtypes == [np.complex128]
+    (k, k2), = eigh_shapes
+    assert k == k2 and 0 < k <= (N + 1) // 4
+    check_against_direct_formula(op, b, weight, N)
+    assert np.count_nonzero(op.sqrt_eigenvalues) == k
+
+
+@pytest.mark.parametrize("b", [TaylorPolynomial((0.5, 0.3j)), TaylorPolynomial((0.5, 0.3))])
+def test_low_rank_route_skips_a_trace_too_large_for_its_rows(b, eigh_dtypes, route_calls):
+    # tr D is about 676 at N = 1023, far above the 256 rows it would allow,
+    # so the complex formula and the real route keep their bits.
+    N = 1023
+    weight = SpaceWeight.for_degree(-1.0, N)
+    op = defect(b, weight, N)
+    assert route_calls == {"rows": [], "bound": []}
+    if b.reflection_axis() is None:
+        assert eigh_dtypes == [np.complex128]
+        D = direct_defect_matrix(b, weight, N)
+        evals, vecs = np.linalg.eigh(D)
+    else:
+        assert eigh_dtypes == [np.float64]
+        D, evals, vecs = former_real_route(b, weight, N)
+    assert op.matrix.tobytes() == D.tobytes()
+    assert op.eigenvectors.tobytes() == vecs.tobytes()
+    assert op.sqrt_eigenvalues.tobytes() == np.sqrt(np.clip(evals, 0.0, None)).tobytes()
+
+
+def test_low_rank_route_stays_off_the_weighted_spaces(eigh_shapes, route_calls):
+    b = AtomicSingularInner(1.0, cmath.exp(2.3j))
+    N = 511
+    weight = SpaceWeight.for_degree(0.0, N)
+    op = defect(b, weight, N)
+    assert eigh_shapes == [(N + 1, N + 1)]
+    assert route_calls == {"rows": [], "bound": []}
+    D, evals, vecs = former_real_route(b, weight, N)
+    assert op.matrix.tobytes() == D.tobytes()
+    assert op.eigenvectors.tobytes() == vecs.tobytes()
+    assert op.sqrt_eigenvalues.tobytes() == np.sqrt(np.clip(evals, 0.0, None)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "b, tried",
+    [
+        # tr D < 0: the trace rule skips the route.
+        (TaylorPolynomial((0.0, 2.0), unit_ball_check=False), False),
+        # D = I - (1 + 1e-6)^2 T T*, T of a singular inner symbol: the
+        # factor finishes on the positive part, and the residual bound,
+        # about 2e-6 sqrt(N), turns it down.
+        (
+            TaylorPolynomial(
+                (1.0 + 1e-6) * AtomicSingularInner(1.0, cmath.exp(2.3j)).taylor(255),
+                unit_ball_check=False,
+            ),
+            True,
+        ),
+    ],
+)
+def test_low_rank_route_leaves_a_non_schur_symbol_to_the_clip_error(b, tried, route_calls):
+    N = 255
+    with pytest.raises(ValueError, match="clip limit"):
+        defect(b, SpaceWeight.for_degree(-1.0, N), N)
+    assert route_calls == {"rows": [N + 1] * tried, "bound": [N + 1] * tried}
