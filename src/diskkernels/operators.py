@@ -152,7 +152,8 @@ class DefectOperator:
     shapes. On the basis and low-rank routes of ``defect`` (on H^2: finite
     Blaschke products, and from N + 1 = 256 on other inner symbols such as
     singular inner ones) the null space of the rank-k factor carries exact
-    zeros; the dense routes leave rounding-level eigenvalues there.
+    zeros, and the eigenvectors come from the k Householder reflectors of
+    its QR; the dense routes leave rounding-level eigenvalues there.
     """
 
     degree: int
@@ -226,10 +227,11 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     Basis route: a finite Blaschke product on H^2 (alpha = -1) has
     I - T_b T_b* = P_K, the projection onto the model space K_b, so
     D = P_N P_K P_N = E^T conj(E) with E the Takenaka-Malmquist Taylor
-    matrix (d rows, ``ModelBasis.taylor_matrix``). A complete QR E^T = Q R
-    gives D = Q (R R*) Q*: one k x k ``eigh`` of the top rows of R,
+    matrix (d rows, ``ModelBasis.taylor_matrix``). A QR E^T = Q R gives
+    D = Q (R R*) Q*: one k x k ``eigh`` of the top rows of R,
     k = min(d, N + 1), gives the range in the first k columns of Q, and
-    the other columns span the null space, whose eigenvalues are exactly 0.
+    the other columns span the null space, whose eigenvalues are exactly
+    0; ``_reflected_eigenvectors`` builds both from Q's k reflectors.
 
     Otherwise D is formed from T_b in complex arithmetic.
 
@@ -247,7 +249,9 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     if axis is not None:
         omega, g = axis
         coeffs = taylor_coefficients(g, degree)
-        drift = float(np.linalg.norm(_toeplitz_fill(coeffs.imag, weight, degree)))
+        drift = 0.0
+        if np.any(coeffs.imag):
+            drift = float(np.linalg.norm(_toeplitz_fill(coeffs.imag, weight, degree)))
         if 2.0 * drift + drift * drift <= (degree + 1) * np.finfo(float).eps:
             T = _toeplitz_fill(coeffs.real, weight, degree)
             phases = axis_phases(omega, degree)
@@ -262,17 +266,15 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     if E is None and weight.alpha == -1.0:
         E = _low_rank_rows(D, T)
     if E is not None:
-        Q, R = np.linalg.qr(E.T, mode="complete")
-        R = R[: min(R.shape)]
+        # geqrf's array, transposed: R and R R* keep a complete QR's bits.
+        H, tau = np.linalg.qr(E.T, mode="raw")
+        R = np.triu(H.T[: len(tau)])
     evals, vecs = np.linalg.eigh(D if E is None else R @ R.conj().T)
     if E is not None:
         # Any lambda < 0 is clipped to 0 below, so the square roots stay
-        # ascending with the null space first. The eigenvectors overwrite
-        # Q, so no second (N + 1)^2 array outlives this block.
-        k = len(evals)
-        evals = np.concatenate([np.zeros(degree + 1 - k), evals])
-        Q[:, : degree + 1 - k], Q[:, degree + 1 - k :] = Q[:, k:], Q[:, :k] @ vecs
-        vecs = Q
+        # ascending with the null space first.
+        evals = np.concatenate([np.zeros(degree + 1 - len(evals)), evals])
+        vecs = _reflected_eigenvectors(H.T, tau, vecs)
     if phases is not None:
         D = D * np.outer(phases, phases.conj())
         # In place, with the bits of 0.5 * (D + D*) and one temporary fewer.
@@ -294,6 +296,29 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         sqrt_eigenvalues=np.sqrt(np.clip(evals, 0.0, None)),
         eigenvectors=vecs,
     )
+
+
+def _reflected_eigenvectors(A, tau, W) -> np.ndarray:
+    """[Q[:, k:], Q[:, :k] W] for the Q = H_1 ... H_k of geqrf's A and tau.
+
+    Compact WY form Q = I - V T V* (Schreiber and Van Loan, 1989): V is
+    A's unit lower trapezoid, T the upper triangle of LAPACK larft's
+    forward recurrence. Each block is one GEMM into the output.
+    """
+    n, k = len(A), len(tau)
+    V = np.tril(A[:, :k], -1)
+    np.fill_diagonal(V, 1.0)
+    G = V.conj().T @ V
+    T = np.diag(tau)
+    for i in range(1, k):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+    vecs = np.empty((n, n), dtype=A.dtype)
+    null, span = vecs[:, : n - k], vecs[:, n - k :]
+    np.matmul(V, -(T @ V[k:].conj().T), out=null)
+    null[k:][np.diag_indices(n - k)] += 1.0
+    np.matmul(V, -(T @ (V[:k].conj().T @ W)), out=span)
+    span[:k] += W
+    return vecs
 
 
 def _low_rank_rows(D: np.ndarray, T: np.ndarray) -> np.ndarray | None:
