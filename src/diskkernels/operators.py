@@ -154,19 +154,55 @@ class DefectOperator:
     singular inner ones) the null space of the rank-k factor carries exact
     zeros, and the eigenvectors come from the k Householder reflectors of
     its QR; the dense routes leave rounding-level eigenvalues there.
+
+    It holds what its route computed: D before the phases (``unphased``)
+    or the basis rows E of D = E^T conj(E) (``rows``), the phases U or
+    None, and the eigenvectors before U (``vectors``), dense or as the
+    compact WY factors Q = I - V T V* with the k x k eigenvectors W,
+    ``(V, T, W)``.
+    ``matrix`` and ``eigenvectors`` are built from these on first read.
     """
 
     degree: int
     weight: SpaceWeight
-    matrix: np.ndarray
     clip_magnitude: float
     sqrt_eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    unphased: np.ndarray | None
+    rows: np.ndarray | None
+    phases: np.ndarray | None
+    vectors: np.ndarray | tuple
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.sqrt_eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        factors = self.vectors if isinstance(self.vectors, tuple) else (self.vectors,)
+        for array in (self.unphased, self.rows, self.phases, self.sqrt_eigenvalues, *factors):
+            if array is not None:
+                array.setflags(write=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """D itself, exactly Hermitian, built on first access."""
+        D = self.unphased
+        if D is None:
+            D = self.rows.T @ self.rows.conj()
+            D = 0.5 * (D + D.conj().T)
+        if self.phases is not None:
+            D = D * np.outer(self.phases, self.phases.conj())
+            # In place, with the bits of 0.5 * (D + D*) and one temporary fewer.
+            D += D.conj().T
+            D *= 0.5
+        D.setflags(write=False)
+        return D
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors of D, one column per eigenvalue, built on first access."""
+        vecs = self.vectors
+        if isinstance(vecs, tuple):
+            vecs = _reflected_eigenvectors(*vecs)
+        if self.phases is not None:
+            vecs = self.phases[:, None] * vecs
+        vecs.setflags(write=False)
+        return vecs
 
     @cached_property
     def sqrt_matrix(self) -> np.ndarray:
@@ -187,6 +223,10 @@ class DefectOperator:
         ``f_taylor`` are Taylor coefficients of a polynomial of degree at
         most N. Components on numerically null directions of S (eigenvalue
         below 1e-10) larger than 1e-8 mean f leaves the space: returns inf.
+
+        The coordinates come from the factors, not ``eigenvectors``: with
+        g = conj(U) f, [(Q* g)[k:], W* (Q* g)[:k]] for Q* g = g - V (T* (V*
+        g)), O(N k) work, or the dense eigenvectors' adjoint times g.
         """
         f_taylor = np.asarray(f_taylor, dtype=complex)
         if f_taylor.ndim != 1 or len(f_taylor) == 0:
@@ -198,10 +238,21 @@ class DefectOperator:
                 "coefficient vector of degree %d exceeds truncation degree %d"
                 % (len(f_taylor) - 1, self.degree)
             )
-        f_onb = np.zeros(self.degree + 1, dtype=complex)
+        g = np.zeros(self.degree + 1, dtype=complex)
         norms = np.sqrt(self.weight.norms_sq[: self.degree + 1])
-        f_onb[: len(f_taylor)] = f_taylor * norms[: len(f_taylor)]
-        coords = np.conj(f_onb.conj() @ self.eigenvectors)
+        g[: len(f_taylor)] = f_taylor * norms[: len(f_taylor)]
+        if self.phases is not None:
+            g *= self.phases.conj()
+        if isinstance(self.vectors, tuple):
+            V, T, W = self.vectors
+            g -= V @ (T.conj().T @ (V.conj().T @ g))
+            k = len(W)
+            coords = np.concatenate([g[k:], W.conj().T @ g[:k]])
+        elif np.iscomplexobj(self.vectors):
+            coords = np.conj(g.conj() @ self.vectors)
+        else:
+            # Two real products: g @ V would cast V to complex on every call.
+            coords = g.real @ self.vectors + 1j * (g.imag @ self.vectors)
         in_range = self.sqrt_eigenvalues >= RANGE_CUTOFF
         outside = float(np.linalg.norm(coords[~in_range]))
         if outside > RANGE_RESIDUAL:
@@ -222,7 +273,7 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     with ||T_g||_2 <= 1, it moves T_g T_g* by at most 2||E||_F + ||E||_F^2,
     and by Weyl's inequality no eigenvalue moves further. The route is taken
     only when that bound is at most (N + 1) eps, the rounding level of the
-    complex ``eigh`` it replaces.
+    complex ``eigh`` it replaces. U is applied only when read.
 
     Basis route: a finite Blaschke product on H^2 (alpha = -1) has
     I - T_b T_b* = P_K, the projection onto the model space K_b, so
@@ -231,7 +282,8 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     D = Q (R R*) Q*: one k x k ``eigh`` of the top rows of R,
     k = min(d, N + 1), gives the range in the first k columns of Q, and
     the other columns span the null space, whose eigenvalues are exactly
-    0; ``_reflected_eigenvectors`` builds both from Q's k reflectors.
+    0. D and the eigenvectors are formed only when read; the operator
+    holds E and the compact WY factors of Q.
 
     Otherwise D is formed from T_b in complex arithmetic.
 
@@ -244,7 +296,7 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     records only what that ``eigh`` gives below 0.
     """
     _check_degree(weight, degree)
-    T = phases = E = None
+    T = phases = E = D = None
     axis = b.reflection_axis()
     if axis is not None:
         omega, g = axis
@@ -257,14 +309,14 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
             phases = axis_phases(omega, degree)
     if T is None and weight.alpha == -1.0 and isinstance(b, BlaschkeProduct):
         E = takenaka_malmquist(b).taylor_matrix(degree)
-        D = E.T @ E.conj()
     else:
         if T is None:
             T = toeplitz_analytic(b, weight, degree).matrix
         D = np.eye(degree + 1, dtype=T.dtype) - T @ T.conj().T
-    D = 0.5 * (D + D.conj().T)
-    if E is None and weight.alpha == -1.0:
-        E = _low_rank_rows(D, T)
+        D = 0.5 * (D + D.conj().T)
+        if weight.alpha == -1.0:
+            E = _low_rank_rows(D, T)
+        del T  # Later steps read D or E only.
     if E is not None:
         # geqrf's array, transposed: R and R R* keep a complete QR's bits.
         H, tau = np.linalg.qr(E.T, mode="raw")
@@ -274,13 +326,7 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
         # Any lambda < 0 is clipped to 0 below, so the square roots stay
         # ascending with the null space first.
         evals = np.concatenate([np.zeros(degree + 1 - len(evals)), evals])
-        vecs = _reflected_eigenvectors(H.T, tau, vecs)
-    if phases is not None:
-        D = D * np.outer(phases, phases.conj())
-        # In place, with the bits of 0.5 * (D + D*) and one temporary fewer.
-        D += D.conj().T
-        D *= 0.5
-        vecs = phases[:, None] * vecs
+        vecs = (*_compact_wy(H.T, tau), vecs)
     clip = float(max(0.0, -np.min(evals)))
     if clip > CLIP_LIMIT:
         raise ValueError(
@@ -291,28 +337,33 @@ def defect(b: SchurFunction, weight: SpaceWeight, degree: int) -> DefectOperator
     return DefectOperator(
         degree=int(degree),
         weight=weight,
-        matrix=D,
         clip_magnitude=clip,
         sqrt_eigenvalues=np.sqrt(np.clip(evals, 0.0, None)),
-        eigenvectors=vecs,
+        unphased=D,
+        rows=E if D is None else None,
+        phases=phases,
+        vectors=vecs,
     )
 
 
-def _reflected_eigenvectors(A, tau, W) -> np.ndarray:
-    """[Q[:, k:], Q[:, :k] W] for the Q = H_1 ... H_k of geqrf's A and tau.
-
-    Compact WY form Q = I - V T V* (Schreiber and Van Loan, 1989): V is
-    A's unit lower trapezoid, T the upper triangle of LAPACK larft's
-    forward recurrence. Each block is one GEMM into the output.
+def _compact_wy(A, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Compact WY form Q = I - V T V* of geqrf's A and tau (Schreiber and
+    Van Loan, 1989): V is A's unit lower trapezoid, T larft's upper triangle.
     """
-    n, k = len(A), len(tau)
+    k = len(tau)
     V = np.tril(A[:, :k], -1)
     np.fill_diagonal(V, 1.0)
     G = V.conj().T @ V
     T = np.diag(tau)
     for i in range(1, k):
         T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
-    vecs = np.empty((n, n), dtype=A.dtype)
+    return V, T
+
+
+def _reflected_eigenvectors(V, T, W) -> np.ndarray:
+    """[Q[:, k:], Q[:, :k] W] for Q = I - V T V*, each block one GEMM."""
+    n, k = V.shape
+    vecs = np.empty((n, n), dtype=V.dtype)
     null, span = vecs[:, : n - k], vecs[:, n - k :]
     np.matmul(V, -(T @ V[k:].conj().T), out=null)
     null[k:][np.diag_indices(n - k)] += 1.0
