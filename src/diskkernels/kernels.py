@@ -34,7 +34,7 @@ HERMITIAN_TOL = 1e-12
 GRAM_STRIP_ENTRIES = 1 << 16
 # Largest dense complex n x n matrix a grid or truncation degree may ask for
 # (n = 4096, 256 MiB). Beside its two Grams a dense dominance pencil holds at
-# most three such matrices at once; a certified PSD check holds about half of
+# most two such matrices at once; a certified PSD check holds about half of
 # one, and one more for the symmetrized copy of an ndarray. A Gram of the
 # rotation route holds none until its ``matrix`` is read, only its 2 R n + n
 # kernel values: R / n of one matrix, besides the n.
@@ -905,17 +905,18 @@ def _gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
 
     The kernel is evaluated one strip of rows at a time, and every pair of
     points once: for rows s:e, X = K(p[s:e], p[s:]) is the diagonal block
-    and the strip right of it, and L = K(p[e:], p[s:e]) the strip below it.
-    While they are in cache, Y* (the diagonal block of X conjugate-transposed,
-    then L*) gives max |X - Y*|, G[s:e, s:] = (X + Y*) * 0.5 and its peak,
-    and G[e:, s:e] = (L + X_off*) * 0.5 with X_off = X right of the block.
-    These are the operands of (raw + raw*) * 0.5 on the whole matrix, so the
-    bits are the same; conjugating the upper strip into the lower one would
-    not do, as it flips the sign of zero imaginary parts. |raw - raw*| and |G|
-    are equal at (i, j) and (j, i), so their maxima are taken on the upper
-    strips only, and collected in an array because Python's max() drops NaN
-    where np.max keeps it: a non-finite entry, or a sum that overflows,
-    leaves the peak non-finite. No n x n matrix but G itself is allocated.
+    and the strip right of it, and L^T = K(p[e:], p[s:e])^T, evaluated in
+    that layout, the strip below it. While they are in cache, Y* (the
+    diagonal block of X conjugate-transposed, then conj(L^T)) gives
+    max |X - Y*|, G[s:e, s:] = (X + Y*) * 0.5 and its peak, and (L^T +
+    conj(X_off)) * 0.5, X_off = X right of the block, is written transposed
+    into G[e:, s:e]. These are the operands of (raw + raw*) * 0.5 on the
+    whole matrix, in its order, so the bits are the same. |raw - raw*| and
+    |G| are equal at (i, j) and (j, i), so their maxima are taken on the
+    upper strips only, and collected in an array because Python's max()
+    drops NaN where np.max keeps it: a non-finite entry, or a sum that
+    overflows, leaves the peak non-finite. No n x n matrix but G itself is
+    allocated.
 
     Strips are independent: each writes only its own rows and columns of G
     and its own slot of the maxima. So they are spread over up to W threads,
@@ -941,16 +942,15 @@ def _gram(kernel: KernelExpr, points: PointSet) -> GramMatrix:
         Yh = np.empty_like(X)
         np.conjugate(X[:, :h].T, out=Yh[:, :h])
         if e < n:
-            L = np.asarray(kernel.eval(arr[e:, None], arr[None, s:e]), dtype=complex)
-            np.conjugate(L.T, out=Yh[:, h:])
-            lower = sym[e:, s:e]
-            np.conjugate(X[:, h:].T, out=lower)
-            np.add(L, lower, out=lower)
-            np.multiply(lower, 0.5, out=lower)
+            Lt = np.asarray(kernel.eval(arr[None, e:], arr[s:e, None]), dtype=complex)
+            np.conjugate(Lt, out=Yh[:, h:])
         np.add(X, Yh, out=upper)
         np.multiply(upper, 0.5, out=upper)
         peaks[k] = np.max(np.abs(upper))
         asyms[k] = np.max(np.abs(np.subtract(X, Yh, out=Yh)))
+        if e < n:
+            lower = np.add(Lt, np.conjugate(X[:, h:], out=Yh[:, h:]), out=Lt)
+            sym[e:, s:e] = np.multiply(lower, 0.5, out=lower).T
 
     _run_strips(strip, len(starts), threads)
     asym, peak = float(np.max(asyms)), float(np.max(peaks))

@@ -35,8 +35,25 @@ REFUTATION_RADII = (0.5, 0.65, 0.8, 0.9, 0.95)
 FACTOR_BLOCK = 64
 
 
+class _ReadsLazyFields:
+    """``==``, ``hash`` and ``repr`` by the values of ``_shown``, lazy ones read."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join("%s=%r" % pair for pair in zip(self._shown, self._key()))
+        return "%s(%s)" % (type(self).__name__, shown)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
-class PsdVerdict:
+class PsdVerdict(_ReadsLazyFields):
     """Outcome of a finite PSD test.
 
     ``is_psd`` is certified, or read from the spectrum: see ``is_psd``.
@@ -63,35 +80,31 @@ class PsdVerdict:
     def spectral_norm(self) -> float:
         return self._extremes[1]
 
-    def _key(self) -> tuple:
-        return (self.is_psd, self.min_eigenvalue, self.tolerance_used, self.spectral_norm)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PsdVerdict):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            "PsdVerdict(is_psd=%r, min_eigenvalue=%r, tolerance_used=%r, spectral_norm=%r)"
-            % self._key()
-        )
+    _shown = ("is_psd", "min_eigenvalue", "tolerance_used", "spectral_norm")
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Least delta with K1 <= delta K2 on a grid, from a generalized eigenproblem."""
+@dataclass(frozen=True, eq=False, repr=False)
+class DominanceReport(_ReadsLazyFields):
+    """Least delta with K1 <= delta K2 on a grid, from a generalized eigenproblem.
+
+    ``min_eig_at_delta``, the least eigenvalue of delta G2 - G1, is ``gap()``,
+    solved on its first read; ``==``, ``hash`` and ``repr`` read it.
+    """
 
     delta_min: float
-    min_eig_at_delta: float
     regularization_jitter: float
     grid: str
     grid_size: int
     kernel1: KernelExpr
     kernel2: KernelExpr
+    gap: Callable[[], float]
+
+    @cached_property
+    def min_eig_at_delta(self) -> float:
+        return self.gap()
+
+    _shown = ("delta_min", "min_eig_at_delta", "regularization_jitter", "grid", "grid_size",
+              "kernel1", "kernel2")
 
     def report_dict(self) -> dict:
         return {
@@ -555,6 +568,20 @@ def _solve_lower(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _mirror(X: np.ndarray, add: bool) -> np.ndarray:
+    """Overwrite square stack X by X* (+ X if ``add``), in FACTOR_BLOCK-square block pairs."""
+    cuts = [slice(s, s + FACTOR_BLOCK) for s in range(0, X.shape[-1], FACTOR_BLOCK)]
+    for i, rows in enumerate(cuts):
+        for cols in cuts[i:]:
+            a, b = X[:, rows, cols], X[:, cols, rows]
+            to_b, to_a = np.conjugate(a.transpose(0, 2, 1)), np.conjugate(b.transpose(0, 2, 1))
+            if add:
+                to_b += b
+                to_a += a
+            a[...], b[...] = to_a, to_b
+    return X
+
+
 def dominance_delta_min(
     kernel1: KernelExpr,
     kernel2: KernelExpr,
@@ -607,11 +634,7 @@ def _dominance(gram1: GramMatrix, gram2: GramMatrix, tol: float) -> DominanceRep
     except np.linalg.LinAlgError as exc:
         singular = exc
     del A
-    if (
-        singular is not None
-        or not certified
-        or not np.all(np.isfinite(np.diagonal(L, axis1=1, axis2=2)))
-    ):
+    if singular or not certified or not np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all():
         verdict = _verdict(np.linalg.eigvalsh(G2), tol)
         if not verdict.is_psd:
             raise ValueError(
@@ -623,27 +646,25 @@ def _dominance(gram1: GramMatrix, gram2: GramMatrix, tol: float) -> DominanceRep
             "Gram matrix of the dominating kernel is numerically singular even "
             "after jitter; move the grid away from the boundary"
         ) from singular
-    # L^-1 G1, then L^-1 of its conjugate transpose, copied C-contiguous as
-    # the first solve's result is; each step drops the array before it.
-    pencil = _solve_lower(L, G1.copy())
-    pencil = np.conjugate(pencil.transpose(0, 2, 1), order="C")
-    pencil = _solve_lower(L, pencil)
+    # L^-1 (L^-1 G1)*, then (pencil* + pencil) * 0.5, all in one buffer.
+    pencil = _solve_lower(L, _mirror(_solve_lower(L, G1.copy()), False))
     del L
-    herm = pencil + pencil.conj().transpose(0, 2, 1)
-    np.multiply(0.5, herm, out=herm)
-    delta = float(np.max(np.linalg.eigvalsh(herm)))
-    delta = max(delta, 0.0)
-    del herm
-    # delta G2 - G1, in the pencil's buffer.
-    gap = np.linalg.eigvalsh(np.subtract(np.multiply(delta, G2, out=pencil), G1, out=pencil))
+    herm = np.multiply(0.5, _mirror(pencil, True), out=pencil)
+    delta = max(float(np.max(np.linalg.eigvalsh(herm))), 0.0)
+    del pencil, herm
+
+    def gap() -> float:
+        shifted = np.multiply(delta, G2)
+        return float(np.min(np.linalg.eigvalsh(np.subtract(shifted, G1, out=shifted))))
+
     return DominanceReport(
         delta_min=delta,
-        min_eig_at_delta=float(np.min(gap)),
         regularization_jitter=jitter,
         grid=points.provenance,
         grid_size=n,
         kernel1=gram1.kernel,
         kernel2=gram2.kernel,
+        gap=gap,
     )
 
 

@@ -37,7 +37,7 @@ BOUNDARY_ANGLES = 64
 
 @dataclass(frozen=True, eq=False)
 class TheoremReport:
-    """Verdict plus the measured and analytic quantities behind it."""
+    """Verdict and the numbers behind it; ``details`` reads each report of ``parts`` as a dict."""
 
     theorem: str
     b_spec: str
@@ -46,12 +46,16 @@ class TheoremReport:
     analytic_constant: float | None
     measured: float
     verdict: str
-    details: tuple
+    parts: tuple
 
     @property
     def holds(self) -> bool:
         """Whether the statement holds: a pass, or a divergent converse table."""
         return self.verdict in ("pass", "divergent")
+
+    @property
+    def details(self) -> tuple:
+        return tuple(p if isinstance(p, dict) else p.report_dict() for p in self.parts)
 
     def report_dict(self) -> dict:
         return {
@@ -98,7 +102,7 @@ def verify_inclusion(
         analytic_constant=analytic,
         measured=report.delta_min,
         verdict=verdict,
-        details=(report.report_dict(),),
+        parts=(report,),
     )
 
 
@@ -134,13 +138,13 @@ def verify_equality_forward(
         analytic_constant=bound,
         measured=report.delta_min,
         verdict=verdict,
-        details=(
+        parts=(
             {
                 "degree": b.degree,
                 "pointwise_bound": c_grid,
                 "bound_grid": point_set_obj(boundary),
             },
-            report.report_dict(),
+            report,
         ),
     )
 
@@ -183,7 +187,7 @@ def verify_equality_converse(
         analytic_constant=None,
         measured=table[-1],
         verdict=verdict,
-        details=(
+        parts=(
             {
                 "radii": list(radii),
                 "values": table,
@@ -233,5 +237,5 @@ def verify_m1(
         analytic_constant=inclusion.analytic_constant,
         measured=inclusion.measured,
         verdict=verdict,
-        details=(inclusion.report_dict(), second.report_dict()),
+        parts=(inclusion, second),
     )

@@ -392,6 +392,9 @@ def test_dominance_counts_the_pencil_cholesky_as_the_psd_check(grid, eig_calls):
     points = sample_grid(grid)
     report = dominance_delta_min(Scale(0.5, Szego()), Szego(), points)
     assert report.delta_min == pytest.approx(0.5, rel=1e-9)
+    assert len(eig_calls) == 1
+    # The gap's solve runs on the first read of min_eig_at_delta.
+    report.min_eig_at_delta
     assert len(eig_calls) == 2
 
 
@@ -408,5 +411,7 @@ def test_dominance_errors_keep_their_messages(grid):
 
 def test_dominance_without_margin_checks_the_spectrum_first(eig_calls):
     points = PointSet((0.1, 0.5j, -0.3 + 0.2j))
-    dominance_delta_min(Scale(0.5, Szego()), Szego(), points, tol=0.0)
+    report = dominance_delta_min(Scale(0.5, Szego()), Szego(), points, tol=0.0)
+    assert len(eig_calls) == 2
+    report.min_eig_at_delta
     assert len(eig_calls) == 3
